@@ -71,12 +71,14 @@ def main():
             print(f"snapshot seq={snap['seq']:>4} phase={snap['phase']:5} "
                   f"ops={snap['ops']:>8} cell={cell} "
                   f"heap={100 * heap.get('occupancy', 0):.1f}%")
-        seqs = [(s["pid"], s["seq"]) for s in snapshots]
+        seqs = [(s["pid"], s["run"], s["seq"]) for s in snapshots]
         assert len(snapshots) == 3, snapshots
         # Three distinct snapshots.  Seqs increase within one run file,
         # but the child loops the workload forever, so the watcher may
         # cross into the next run's file, where seq restarts — strict
         # monotonicity across all three would be a race, not a guarantee.
+        # Each snapshot carries its run ordinal, so (pid, run, seq) is
+        # unique even when two runs' final snapshots share a seq.
         assert len(set(seqs)) == 3, seqs
         assert all(s["phase"] in ("live", "final") for s in snapshots)
         print("\nthree successive snapshots from a live child: OK")

@@ -29,8 +29,8 @@ A *system* is one of the named configurations the paper compares:
                 (``dispatch="closure"``) — the ladder's middle rung and
                 the compiled tier's deopt target
 ``cg-compiled`` CG + mark-sweep with the compiled dispatch tier pinned
-                (``dispatch="compiled"``: everything codegenned up
-                front) — the tiered default's warmup-cost baseline
+                (``dispatch="compiled"``: tiered, promoted on first
+                visit) — the tiered default's warmup-cost baseline
 ``jdk``         the unmodified base system: mark-sweep only
 ``cg-nogc``     CG with the tracing collector disabled and ample storage
 ``jdk-nogc``    the base system idem (the other half of that comparison)

@@ -28,12 +28,15 @@ the SLA-only server grid; BENCH_7 combines both grids, adds the
 ``compile_ms`` into cold/steady).
 
 The grid carries the full dispatch ladder — ``cg-table`` (table pin),
-``cg-closure`` (closure pin), and ``cg-compiled`` (everything codegenned
-up front) next to ``cg`` (tiered, the default) — so every report records
-the per-tier speedups on the interpreter-driven ``bc-*`` workloads.  The
-headline number is the cg-vs-table geomean, which ``--check``
-additionally gates with :data:`DISPATCH_FLOOR`: the baseline snapshot
-must record at least the floor, and the live measurement must stay
+``cg-closure`` (closure pin), and ``cg-compiled`` (tiered, promoted on
+first visit) next to ``cg`` (tiered, the default) — so every report
+records the per-tier speedups on the interpreter-driven ``bc-*``
+workloads.  The pins run only there: the Mutator-driven SPEC-shaped
+workloads execute no bytecode, so every pin would time the same code
+as ``cg`` (see :func:`grid_cells`).  The headline number is the
+cg-vs-table geomean, which ``--check`` additionally gates with
+:data:`DISPATCH_FLOOR`: the baseline snapshot must record at least the
+floor, and the live measurement must stay
 within the noise tolerance of it.  Each cell also reports the one-time
 closure-compile + codegen warmup, split into ``compile_ms_first_iter``
 (cold: the cross-runtime codegen cache cleared first — what the first
@@ -63,6 +66,8 @@ from ..api import run as run_workload
 #: form the other rungs of the dispatch ladder).
 DEFAULT_SYSTEMS = ("cg", "jdk", "cg-segfit", "cg-table", "cg-closure",
                    "cg-compiled")
+#: The dispatch-pin systems: ``cg`` with the interpreter tier pinned.
+DISPATCH_PINS = ("cg-table", "cg-closure", "cg-compiled")
 DEFAULT_WORKLOADS = (
     "compress", "jess", "raytrace", "db", "javac", "mpegaudio", "jack",
     "bc-arith", "bc-list", "bc-calls", "bc-loop",
@@ -95,6 +100,24 @@ BENCH_VERSION = 7
 DISPATCH_FLOOR = 2.5
 
 
+def _runs_bytecode(workload: str) -> bool:
+    """True for the interpreter-driven ``bc-*`` workloads; the others
+    drive the runtime through the Mutator API and execute no bytecode."""
+    return workload.startswith("bc-")
+
+
+def grid_cells(workloads: Sequence[str],
+               systems: Sequence[str]) -> List[Tuple[str, str]]:
+    """The (workload, system) cells a grid times, in run order.
+
+    Dispatch pins (:data:`DISPATCH_PINS`) are kept only on bytecode
+    workloads: on a Mutator-driven workload a pin differs from ``cg``
+    in nothing that runs.
+    """
+    return [(w, s) for w in workloads for s in systems
+            if _runs_bytecode(w) or s not in DISPATCH_PINS]
+
+
 def run_bench(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     systems: Sequence[str] = DEFAULT_SYSTEMS,
@@ -102,7 +125,7 @@ def run_bench(
     repeats: int = 3,
     jobs: int = 1,
 ) -> Dict:
-    """Time every (workload, system) cell; wall time is min over repeats.
+    """Time every :func:`grid_cells` cell; wall time is min over repeats.
 
     ``jobs > 1`` runs the grid through the persistent worker pool
     (:mod:`repro.harness.pool`): every (cell, repeat) becomes an uncached
@@ -114,21 +137,23 @@ def run_bench(
     if jobs > 1:
         return _run_bench_pooled(workloads, systems, size, repeats, jobs)
     entries: List[Dict] = []
+    cells = grid_cells(workloads, systems)
     for workload in workloads:
+        row = [s for w, s in cells if w == workload]
         # Paired measurement: rep i of *every* system runs back-to-back
         # before rep i+1, so all of a workload's cells sample the same
         # machine-speed windows and cross-system ratios (the dispatch
         # ladder) don't inherit slow CPU drift.  Min over repeats per
         # cell is taken across the interleaved passes.
-        best: Dict[str, float] = {system: math.inf for system in systems}
+        best: Dict[str, float] = {system: math.inf for system in row}
         results: Dict[str, object] = {}
         for _ in range(max(1, repeats)):
-            for system in systems:
+            for system in row:
                 started = time.perf_counter()
                 results[system] = run_workload(workload, size, system)
                 elapsed = time.perf_counter() - started
                 best[system] = min(best[system], elapsed)
-        for system in systems:
+        for system in row:
             wall = best[system]
             result = results[system]
             entries.append({
@@ -188,7 +213,7 @@ def _run_bench_pooled(workloads: Sequence[str], systems: Sequence[str],
                       size: int, repeats: int, jobs: int) -> Dict:
     from .pool import get_shared_pool
 
-    cells = [(w, s) for w in workloads for s in systems]
+    cells = grid_cells(workloads, systems)
     requests: List[Dict] = []
     owners: List[Tuple[str, str]] = []
     for workload, system in cells:
@@ -657,7 +682,7 @@ def dispatch_speedup(report: Dict) -> Tuple[Optional[float], List[str]]:
         rung = f" (closure {closure:,.0f} = {closure / table:.2f}x)" \
             if closure else ""
         marker = ""
-        if workload.startswith("bc-"):
+        if _runs_bytecode(workload):
             bc_ratios.append(ratio)
             if closure:
                 closure_ratios.append(closure / table)
@@ -690,7 +715,7 @@ def _bc_dispatch_ratios(report: Dict) -> Dict[str, float]:
     keyed = _keyed(report)
     ratios: Dict[str, float] = {}
     for (workload, size, system, params), cell in keyed.items():
-        if system != "cg" or not workload.startswith("bc-"):
+        if system != "cg" or not _runs_bytecode(workload):
             continue
         twin = keyed.get((workload, size, "cg-table", params))
         if twin is None:

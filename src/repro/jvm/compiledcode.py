@@ -1,10 +1,14 @@
-"""Compiled dispatch: the fourth interpreter tier.
+"""Generated-Python codegen: the promoted form of the tiered driver.
 
-``RuntimeConfig(dispatch="compiled")`` compiles each method's bytecode once
-per runtime into generated Python *source* — straight-line code with the
-operand stack lowered to Python local variables, branches as jumps within a
-``while`` state machine over basic blocks — ``exec``'d once and cached by
-the interpreter like ``_ccache``.  The generated function has the shape::
+Under ``RuntimeConfig(dispatch="tiered")`` (the default) a method is
+promoted here once its hotness counter crosses ``promote_after``; under
+``dispatch="compiled"`` — tiered, promoted on first visit — every method
+is promoted at its first driver visit.  Promotion compiles the method's
+bytecode once per runtime into generated Python *source* — straight-line
+code with the operand stack lowered to Python local variables, branches
+as jumps within a ``while`` state machine over basic blocks — ``exec``'d
+once and cached by the interpreter like ``_ccache``.  The generated
+function has the shape::
 
     def run(frame, thread, limit, nout):
         loc = frame.locals
@@ -38,7 +42,7 @@ sites (GC roots), invokes, returns, raises, deopts, and block exits.
 
 **Counting.**  ``n`` must equal the instructions actually retired at every
 observable point, so CG counters, ``runtime.ops``, injected-trap indices,
-and quantum boundaries stay bit-identical with the other three tiers.
+and quantum boundaries stay bit-identical with the other tiers.
 Pure, non-raising instructions batch their increments into a compile-time
 ``pending`` count; ``pending`` is flushed into ``n`` (plus one for the
 current instruction) immediately *before* every instruction that can raise
@@ -68,7 +72,7 @@ tier's own.
 
 **Threaded calls.**  An invoke site keeps the usual service sequence
 (``_invoke`` pushes the callee frame) but then drives the callee through
-``Interpreter._call_threaded`` instead of returning ``-1`` — one Python
+``Interpreter._call_tiered`` instead of returning ``-1`` — one Python
 call per VM call rather than two driver round-trips — and continues
 inline at the post-call leader when the callee ran to completion.  The
 helper applies the exact driver discipline (budget refusal, deopt to the
@@ -215,7 +219,7 @@ class PyCompiledMethod(NamedTuple):
 
 def _call_disabled(frame, thread, budget, nout):
     """``_call`` binding for profiled runs: always hand back to the driver
-    (same signature as ``Interpreter._call_threaded``)."""
+    (same signature as ``Interpreter._call_tiered``)."""
     return 0, False
 
 
@@ -292,12 +296,9 @@ def _base_bindings(interp) -> dict:
         "_invoke": interp._invoke,
         # Threaded calls re-route the depth-profile attribution (callee
         # time lands on the caller's driver entry), so profiled runs keep
-        # the driver-bounce protocol.  Tiered mode binds the refusing
-        # variant so a promoted caller never force-compiles a cold callee.
+        # the driver-bounce protocol.
         "_call": (_call_disabled if runtime.profiler.enabled
-                  else interp._call_tiered
-                  if runtime.config.dispatch == "tiered"
-                  else interp._call_threaded),
+                  else interp._call_tiered),
         "_ret": interp._return,
         "_instanceof": interp._instanceof,
         "_arraycls": runtime.program.classes[Program.ARRAY],
@@ -950,9 +951,10 @@ class _Codegen:
 
         ``_call`` executes the just-pushed frame to completion when it can
         (same budget/count discipline as the driving loop, see
-        ``Interpreter._call_threaded``); on success the caller continues
-        inline at the post-call leader, otherwise it returns ``-1`` and
-        the driver takes over exactly as before.
+        ``Interpreter._call_tiered``); on success the caller continues
+        inline at the post-call leader, otherwise — budget, deopt, depth
+        guard, or a callee not yet promoted — it returns ``-1`` and the
+        tiered driver takes over exactly as before.
         """
         emit = self.emit
         tk = self.tmp()

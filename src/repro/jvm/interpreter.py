@@ -11,15 +11,21 @@ Five dispatch tiers share this file's runtime services and must produce
 identical stats on every program (the opcode-parity differential suite is
 the oracle): ``tiered`` (the default — profile-guided: methods start in
 the closure tier under a per-method invocation + loop-backedge hotness
-counter and are promoted to the compiled tier at a call boundary once
-hot, see :meth:`Interpreter._step_n_tiered`), ``compiled`` (every method
-compiled up front to generated Python source with guard-protected
-speculation and deopt to the closure tier,
-:mod:`repro.jvm.compiledcode`), ``closure`` (per-method closure
-compilation with quickening and superinstruction fusion,
-:mod:`repro.jvm.closurecode`), ``table`` (the loop below), and ``chain``
-(the original if/elif reference, retained via
+counter and are promoted to generated Python source,
+:mod:`repro.jvm.compiledcode`, at a call boundary once hot, see
+:meth:`Interpreter._step_n_tiered`), ``compiled`` (tiered, promoted on
+first visit: the same driver with a promotion threshold of 1),
+``closure`` (per-method closure compilation with quickening and
+superinstruction fusion, :mod:`repro.jvm.closurecode`), ``table`` (the
+loop below), and ``chain`` (the original if/elif reference, retained via
 ``RuntimeConfig(dispatch="chain")``).
+
+Four step loops serve them — chain, table, batched closure, and tiered —
+plus one closure per-instruction loop that every closure-family tier
+falls back to when instructions must be observed one at a time
+(periodic GC, heartbeat, or ``count_opcodes``).  Profiling and fault
+injection are wrappers around whichever loop was selected, so no loop
+carries their bookkeeping.
 
 Threading: :meth:`Interpreter.run_program` drives the deterministic
 round-robin scheduler — each runnable thread executes up to a quantum of
@@ -446,22 +452,22 @@ class Interpreter:
         #: JMethod -> CompiledMethod for the closure tier.  Per-interpreter:
         #: compiled closures bind this runtime's services.
         self._ccache: Dict[JMethod, object] = {}
-        #: JMethod -> PyCompiledMethod for the compiled tier (the generated
+        #: JMethod -> PyCompiledMethod for promoted methods (the generated
         #: Python form; its closure-tier form lives in ``_ccache``).
         self._pycache: Dict[JMethod, object] = {}
-        #: Out-parameter cells for the compiled tier's generated functions.
+        #: Out-parameter cells for the generated functions.
         #: ``[0]``: on an exception, the instructions retired before the
         #: raise (re-entrant: every raise path *adds* its count just-in-time
         #: and each driving-loop level consumes its value before
         #: re-raising).  ``[1]``: implicit end-of-code returns retired
-        #: inside a threaded call (:meth:`_call_threaded`) — counted but
+        #: inside a threaded call (:meth:`_call_tiered`) — counted but
         #: never ticked; each driver reads and re-zeroes it after every
         #: generated-``run`` call.
         self._nout: List[int] = [0, 0]
         #: Tiered dispatch (profile-guided promotion) state.  ``_hotness``
         #: maps cold methods to their hotness score (driver visits plus
         #: weighted loop backedges); crossing ``promote_after`` promotes
-        #: the method to the compiled tier at its next call boundary.
+        #: the method to generated code at its next call boundary.
         #: ``_deopts`` counts guard deopts per promoted method;
         #: ``_promoted_visits``/``_recompiled`` drive the one-shot
         #: adaptive-cap recompile (see :meth:`_step_n_tiered`).  All of it
@@ -477,7 +483,11 @@ class Interpreter:
         #: free, so the hotness threshold has nothing left to decide), a
         #: miss falls back to the profile-and-promote path.
         self._cache_probed: set = set()
-        self._promote_after: int = config.promote_after
+        #: ``compiled`` is eager tiering: every method is promoted
+        #: (codegenned) on its first driver visit.
+        self._promote_after: int = (
+            1 if config.dispatch == "compiled" else config.promote_after
+        )
         self._backedge_weight: int = config.promote_backedge_weight
         #: Always-on compile accounting, independent of the profiler: wall
         #: seconds and method counts for the one-time closure-compile and
@@ -511,55 +521,38 @@ class Interpreter:
         #: counts), and in counting mode every instruction must be
         #: observed individually.  (Fault budget slicing is fine — the
         #: weights mechanism keeps fused pairs inside every budget slice.)
-        #: The compiled tier never fuses: its deopt path single-steps
-        #: closure slots one instruction at a time, and a fused slot would
-        #: retire two instructions charged as one there.  The tiered mode
-        #: inherits that rule — its cold closure segments become the
-        #: compiled tier's deopt targets after promotion, so they must be
-        #: unfused from the start.
+        #: The tiered driver (``compiled`` included) never fuses: its deopt
+        #: path single-steps closure slots one instruction at a time, and
+        #: a fused slot would retire two instructions charged as one
+        #: there; cold closure segments become the deopt targets after
+        #: promotion, so they must be unfused from the start.
         self._fuse = (
             dispatch == "closure"
             and not runtime._tick_per_op
             and not self.count_ops
         )
-        if self.count_ops:
-            # Counting loops tick per instruction; with no periodic-GC
-            # trigger tick() is a pure counter bump, so the observable
-            # results stay bit-identical to the batched loops.  Chain
-            # dispatch counts via the table loop (they are parity-equal);
-            # the compiled and tiered tiers count via the closure loop
-            # (per-opcode observation needs per-instruction dispatch
-            # anyway, and promotion would only change wall time).
-            self.step_n = (
-                self._step_n_closure_counting
-                if dispatch in ("closure", "compiled", "tiered")
-                else self._step_n_table_counting
-            )
-        elif dispatch == "chain":
+        if dispatch == "chain" and not self.count_ops:
             self.step_n = self._step_n_chain
-        elif dispatch == "closure":
-            self.step_n = (
-                self._step_n_closure if not runtime._tick_per_op
-                else self._step_n_closure_tick
-            )
-        elif dispatch == "compiled":
-            # Per-instruction-tick modes (gc_period_ops / heartbeat) need
-            # control at every instruction boundary — generated blocks
-            # would deopt at every pc, so run the closure tick loop
-            # wholesale instead (bit-identical by the parity suite).
-            self.step_n = (
-                self._step_n_compiled if not runtime._tick_per_op
-                else self._step_n_closure_tick
-            )
-        elif dispatch == "tiered":
-            # Same per-instruction-tick escape hatch as the compiled
-            # tier: with gc_period_ops or a heartbeat armed, promotion
-            # could only ever reach code that deopts at every pc, so the
-            # closure tick loop runs wholesale instead.
-            self.step_n = (
-                self._step_n_tiered if not runtime._tick_per_op
-                else self._step_n_closure_tick
-            )
+        elif dispatch not in ("table", "chain"):
+            if runtime._tick_per_op or self.count_ops:
+                # Per-instruction ticking (gc_period_ops / heartbeat) or
+                # per-opcode counting: the closure-family tiers run the
+                # closure per-instruction loop wholesale.  Generated
+                # blocks would deopt at every pc, and promotion only
+                # changes wall time, so this is bit-identical by the
+                # parity suite.
+                self.step_n = self._step_n_closure_per_op
+            elif dispatch == "closure":
+                self.step_n = self._step_n_closure
+            else:
+                self.step_n = self._step_n_tiered
+        # Otherwise the class's own ``step_n`` (the table loop) runs; it
+        # also counts opcodes for ``chain``, which is parity-equal.
+        if runtime.profiler.enabled:
+            # Innermost wrapper, so every call of the selected loop (each
+            # fault-budget slice included) is attributed separately.
+            self._unprofiled_step_n = self.step_n
+            self.step_n = self._step_n_profiled
         plan = runtime.config.faults
         if plan is not None and plan.arms("interp.step"):
             # Wrap whichever dispatch loop was just selected.  The wrapper
@@ -720,6 +713,24 @@ class Interpreter:
                 return total
         return total
 
+    def _step_n_profiled(self, thread: JThread, budget: int,
+                         stop_depth: int = 0) -> int:
+        """``step_n`` wrapper installed when the profiler is enabled.
+
+        One clock pair per call of the selected loop, charged to the
+        ``interpret`` phase and to the entry depth — the per-depth profile
+        is a poor man's flamegraph over the shadow stack at quantum
+        resolution, not per instruction.  A raising loop is not charged.
+        """
+        profile_started = perf_counter()
+        profile_depth = len(thread.stack.frames)
+        executed = self._unprofiled_step_n(thread, budget, stop_depth)
+        elapsed = perf_counter() - profile_started
+        profiler = self.runtime.profiler
+        profiler.add(PHASE_INTERPRET, elapsed)
+        profiler.charge_depth(profile_depth, elapsed)
+        return executed
+
     def step_n(self, thread: JThread, budget: int, stop_depth: int = 0) -> int:
         """Execute up to ``budget`` instructions on ``thread``.
 
@@ -731,19 +742,13 @@ class Interpreter:
         runtime = self.runtime
         executed = 0
         frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            # One clock pair per quantum, attributed to the entry depth —
-            # the per-depth profile is a poor man's flamegraph over the
-            # shadow stack at quantum resolution, not per instruction.
-            profile_started = perf_counter()
-            profile_depth = len(frames)
         handlers = _HANDLERS
         op_count = bc.OP_COUNT
-        if not runtime._tick_per_op:
-            # No periodic-GC trigger or heartbeat: ``tick`` is pure
-            # accounting, so charge the whole quantum in one call instead
-            # of once per instruction.
+        counts = self.op_counts
+        if not runtime._tick_per_op and counts is None:
+            # No periodic-GC trigger, heartbeat or opcode histogram:
+            # ``tick`` is pure accounting, so charge the whole quantum in
+            # one call instead of once per instruction.
             # Implicit end-of-code returns are not ticked (matching the
             # per-instruction loop below, which ticks only decoded
             # instructions); the flush happens even if a handler raises, so
@@ -771,6 +776,9 @@ class Interpreter:
                 if ticked:
                     runtime.tick(ticked)
         else:
+            # Per-instruction ticking; in counting mode (no periodic
+            # trigger) ``tick()`` is a pure counter bump, so the results
+            # stay bit-identical to the batched loop above.
             while executed < budget and len(frames) > stop_depth:
                 frame = frames[-1]
                 code = frame.method.code
@@ -785,12 +793,10 @@ class Interpreter:
                 runtime.tick()
                 if op >= op_count or op < 0:
                     raise VerifyError(f"unknown opcode {op}")
+                if counts is not None:
+                    counts[op] += 1
                 handlers[op](self, runtime, thread, frame, a, b)
         self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
         return executed
 
     def _step_n_chain(self, thread: JThread, budget: int,
@@ -800,10 +806,6 @@ class Interpreter:
         runtime = self.runtime
         executed = 0
         frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
         while executed < budget and len(frames) > stop_depth:
             frame = frames[-1]
             method = frame.method
@@ -995,10 +997,6 @@ class Interpreter:
             else:
                 raise VerifyError(f"unknown opcode {op}")
         self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
         return executed
 
     # ------------------------------------------------------------------
@@ -1074,175 +1072,31 @@ class Interpreter:
         self._pycache[method] = compiled
         return compiled
 
-    #: VM call depth beyond which :meth:`_call_threaded` refuses and the
+    #: VM call depth beyond which :meth:`_call_tiered` refuses and the
     #: invoke falls back to the driver bounce.  Threaded calls nest two
     #: Python frames per VM frame, so this keeps deep recursion (raytrace)
     #: far from Python's own recursion limit; past the guard the *oldest*
     #: refusing driver level drives deeper frames iteratively.
     CALL_THREAD_MAX_DEPTH = 64
 
-    def _call_threaded(self, frame, thread: JThread, budget: int,
-                       nout) -> Tuple[int, bool]:
+    def _call_tiered(self, frame, thread: JThread, budget: int,
+                     nout) -> Tuple[int, bool]:
         """Drive the frame an invoke site just pushed, without leaving
-        generated code: bound as ``_call`` into the compiled tier, so a VM
+        generated code: bound as ``_call`` into generated methods, so a VM
         call costs one Python call instead of two driver round-trips.
 
         ``frame`` is the *caller*; if it is still on top the invoke was a
         native that completed inline and there is nothing to drive.
         Returns ``(executed, done)``.  ``done=False`` hands control back
-        to :meth:`_step_n_compiled` with identical semantics — budget
-        exhausted, a deopt pc needing the closure tail, or the recursion
-        guard.  Ticking stays the outer driver's job; implicit end-of-code
-        returns accumulate in ``nout[1]`` (consumed there).
-        """
-        frames = thread.stack.frames
-        if frames[-1] is frame:
-            return 0, True
-        stop_depth = len(frames) - 1
-        if stop_depth >= self.CALL_THREAD_MAX_DEPTH:
-            return 0, False
-        executed = 0
-        pycache = self._pycache
-        py_for = self._py_compiled_for
-        while len(frames) > stop_depth:
-            if executed >= budget:
-                return executed, False
-            callee = frames[-1]
-            method = callee.method
-            comp = pycache.get(method) or py_for(method)
-            pc = callee.pc
-            if pc not in comp.leaders:
-                return executed, False
-            nout[0] = 0
-            try:
-                k, npc = comp.run(callee, thread, budget - executed, nout)
-            except BaseException:
-                nout[0] += executed
-                raise
-            executed += k
-            if npc == -2:
-                nout[1] += 1
-                continue
-            if npc < 0:
-                continue
-            callee.pc = npc
-            return executed, False
-        return executed, True
-
-    def _step_n_compiled(self, thread: JThread, budget: int,
-                         stop_depth: int = 0) -> int:
-        """The compiled-dispatch loop: run generated straight-line Python
-        per method (:mod:`repro.jvm.compiledcode`), falling back to
-        single-stepped closure slots at non-leader pcs — the deopt path
-        for guard failures, spawns, quantum tails, and sliced budgets.
-
-        The generated ``run`` returns ``(k, next_pc)`` with ``k``
-        instructions retired; ``-1``/``-2`` sentinels and tick accounting
-        follow the closure loop's protocol exactly (``-2`` — the implicit
-        end-of-code return — is counted but never ticked).  On an
-        exception, ``run`` stores its retired count in the shared
-        ``_nout`` cell so a faulting instruction is charged exactly as in
-        the other tiers.
-        """
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        pycache = self._pycache
-        py_for = self._py_compiled_for
-        nout = self._nout
-        unticked = 0
-        try:
-            while executed < budget and len(frames) > stop_depth:
-                frame = frames[-1]
-                method = frame.method
-                comp = pycache.get(method) or py_for(method)
-                leaders = comp.leaders
-                pc = frame.pc
-                if pc in leaders:
-                    nout[0] = 0
-                    try:
-                        k, npc = comp.run(frame, thread, budget - executed,
-                                          nout)
-                    except BaseException:
-                        executed += nout[0]
-                        u = nout[1]
-                        if u:
-                            unticked += u
-                            nout[1] = 0
-                        raise
-                    executed += k
-                    u = nout[1]
-                    if u:
-                        # Implicit returns retired inside threaded calls:
-                        # counted in k, excluded from the tick (read and
-                        # re-zeroed here so a sync-nested driver never
-                        # consumes another level's increments).
-                        unticked += u
-                        nout[1] = 0
-                    if npc == -2:
-                        unticked += 1
-                        continue
-                    if npc < 0:
-                        continue
-                    frame.pc = npc
-                    if executed >= budget:
-                        continue
-                    # npc is either a refused leader (its block no longer
-                    # fits the remaining budget) or a deopt pc mid-block —
-                    # either way the closure segment below fills the tail.
-                # Closure-dispatched segment: the deopt path and the
-                # quantum tail.  Same inner loop as _step_n_closure plus
-                # a block-fit check to hop back into generated code: only
-                # break at a leader whose whole block is affordable, so
-                # ``run`` is never re-entered just to refuse again.
-                cm = comp.closure
-                ccode = cm.ccode
-                blen = comp.blen
-                pc = frame.pc
-                if pc > cm.ilen:
-                    # Wild branch past the end: any pc >= len(code) is the
-                    # implicit return, as in the other tiers.
-                    pc = cm.ilen
-                limit = budget - executed
-                n = 0
-                try:
-                    while n < limit:
-                        n += 1
-                        pc = ccode[pc](frame, thread)
-                        if pc < 0:
-                            if pc == -2:
-                                unticked += 1
-                            break
-                        if pc in leaders and limit - n >= blen[pc]:
-                            break
-                finally:
-                    executed += n
-                if pc >= 0:
-                    frame.pc = pc
-        finally:
-            ticked = executed - unticked
-            if ticked:
-                runtime.tick(ticked)
-        self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
-        return executed
-
-    def _call_tiered(self, frame, thread: JThread, budget: int,
-                     nout) -> Tuple[int, bool]:
-        """Tiered-mode ``_call`` binding: :meth:`_call_threaded` minus the
-        force-compile.  A promoted caller may invoke a still-cold callee;
-        threading through it would codegen the callee eagerly — exactly
-        the warmup cost tiering exists to avoid — so this variant refuses
-        (``done=False``) whenever the callee has no generated form yet,
-        handing the frame back to :meth:`_step_n_tiered`, whose cold path
-        runs it in the closure tier and counts its hotness.
+        to :meth:`_step_n_tiered` with identical semantics — budget
+        exhausted, a deopt pc needing the closure tail, the recursion
+        guard, or a callee with no generated form yet.  That last refusal
+        keeps a promoted caller from codegenning a cold callee eagerly
+        (exactly the warmup cost tiering exists to avoid): the driver's
+        cold path runs it in the closure tier and counts its hotness, or,
+        under ``compiled``, promotes it on that first visit.  Ticking
+        stays the driver's job; implicit end-of-code returns accumulate
+        in ``nout[1]`` (consumed there).
         """
         frames = thread.stack.frames
         if frames[-1] is frame:
@@ -1323,21 +1177,32 @@ class Interpreter:
 
     def _step_n_tiered(self, thread: JThread, budget: int,
                        stop_depth: int = 0) -> int:
-        """The tiered-dispatch loop: profile-guided closure-to-compiled
-        promotion.
+        """The tiered-dispatch loop (``tiered`` and ``compiled``):
+        profile-guided closure-to-generated-code promotion.
 
         Cold methods run the closure inner loop (as
         :meth:`_step_n_closure`, unfused) while a hotness score
         accumulates: +1 per driver visit, +``promote_backedge_weight``
         per backward branch observed in the segment.  When the score
-        reaches ``promote_after``, the method is promoted at its next
-        call boundary — codegenned and driven through the verbatim
-        :meth:`_step_n_compiled` protocol from then on, including its
-        deopt path.  A promoted method that stays deopt-free for
+        reaches ``promote_after`` (1 under ``compiled``, so every method
+        is promoted on its first visit), the method is promoted at its
+        next call boundary: codegenned (:mod:`repro.jvm.compiledcode`)
+        and run as generated straight-line Python from then on, falling
+        back to single-stepped closure slots at non-leader pcs — the
+        deopt path for guard failures, spawns, quantum tails, and sliced
+        budgets.  A promoted method that stays deopt-free for
         :data:`RECOMPILE_AFTER_VISITS` visits is recompiled once with
         lifted trace caps (:meth:`_recompile_lifted`).
 
-        Soundness: the closure and compiled tiers are counter-identical
+        The generated ``run`` returns ``(k, next_pc)`` with ``k``
+        instructions retired; ``-1``/``-2`` sentinels and tick accounting
+        follow the closure loop's protocol exactly (``-2`` — the implicit
+        end-of-code return — is counted but never ticked).  On an
+        exception, ``run`` stores its retired count in the shared
+        ``_nout`` cell so a faulting instruction is charged exactly as in
+        the other tiers.
+
+        Soundness: closure slots and generated code are counter-identical
         on every program (the parity suite's oracle), so *any* per-method
         interleaving of the two is counter-identical too — hotness only
         decides which tier spends the wall time.  The score itself is
@@ -1347,10 +1212,6 @@ class Interpreter:
         runtime = self.runtime
         executed = 0
         frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
         ccache = self._ccache
         compiled_for = self._compiled_for
         pycache = self._pycache
@@ -1424,11 +1285,11 @@ class Interpreter:
                             score += back * bweight
                         hot[method] = score
                         continue
-                # Promoted: the _step_n_compiled protocol, verbatim, plus
-                # deopt bookkeeping for the adaptive-cap recompile.  Once
-                # the one-shot decision is taken the method is *settled*
-                # and every remaining visit skips the bookkeeping — the
-                # deopt record has nothing left to gate.
+                # Promoted: generated code plus deopt bookkeeping for the
+                # adaptive-cap recompile.  Once the one-shot decision is
+                # taken the method is *settled* and every remaining visit
+                # skips the bookkeeping — the deopt record has nothing
+                # left to gate.
                 settled = method in recompiled
                 if not settled:
                     v = pvisits.get(method, 0) + 1
@@ -1457,6 +1318,10 @@ class Interpreter:
                     executed += k
                     u = nout[1]
                     if u:
+                        # Implicit returns retired inside threaded calls:
+                        # counted in k, excluded from the tick (read and
+                        # re-zeroed here so a sync-nested driver never
+                        # consumes another level's increments).
                         unticked += u
                         nout[1] = 0
                     if npc == -2:
@@ -1473,7 +1338,10 @@ class Interpreter:
                     if executed >= budget:
                         continue
                 # Closure-dispatched segment: the deopt path and the
-                # quantum tail, identical to _step_n_compiled.
+                # quantum tail.  Same inner loop as _step_n_closure plus
+                # a block-fit check to hop back into generated code: only
+                # break at a leader whose whole block is affordable, so
+                # ``run`` is never re-entered just to refuse again.
                 cm = comp.closure
                 ccode = cm.ccode
                 blen = comp.blen
@@ -1501,10 +1369,6 @@ class Interpreter:
             if ticked:
                 runtime.tick(ticked)
         self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
         return executed
 
     def _step_n_closure(self, thread: JThread, budget: int,
@@ -1525,10 +1389,6 @@ class Interpreter:
         runtime = self.runtime
         executed = 0
         frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
         cache = self._ccache
         compiled_for = self._compiled_for
         unticked = 0
@@ -1587,31 +1447,27 @@ class Interpreter:
             if ticked:
                 runtime.tick(ticked)
         self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
         return executed
 
-    def _step_n_closure_tick(self, thread: JThread, budget: int,
-                             stop_depth: int = 0) -> int:
-        """Closure dispatch with a periodic-GC trigger or heartbeat armed.
+    def _step_n_closure_per_op(self, thread: JThread, budget: int,
+                               stop_depth: int = 0) -> int:
+        """Closure dispatch one instruction at a time: the loop every
+        closure-family tier runs when a periodic-GC trigger or heartbeat
+        is armed, or when the per-opcode histogram is on.
 
         Mirrors the table loop's per-instruction ordering exactly — pc
         advanced, ``executed`` charged, ``tick()``, then the instruction —
         so collections trigger at identical instruction boundaries.
         Superinstruction fusion is disabled in this mode (every
-        instruction must tick individually).
+        instruction must tick, and be counted, individually).
         """
         runtime = self.runtime
         executed = 0
         frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
         cache = self._ccache
         compiled_for = self._compiled_for
+        counts = self.op_counts
+        op_count = bc.OP_COUNT
         while executed < budget and len(frames) > stop_depth:
             frame = frames[-1]
             method = frame.method
@@ -1625,105 +1481,17 @@ class Interpreter:
             frame.pc = pc + 1
             executed += 1
             runtime.tick()
+            if counts is not None:
+                op = compiled.opmap[pc]
+                if 0 <= op < op_count:
+                    # Unknown opcodes are not counted (the compiled slot
+                    # raises VerifyError below, matching the table loop's
+                    # check order).
+                    counts[op] += 1
             npc = compiled.ccode[pc](frame, thread)
             if npc >= 0:
                 frame.pc = npc
         self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
-        return executed
-
-    # ------------------------------------------------------------------
-    # Counting loops (count_opcodes mode: per-opcode histogram)
-    # ------------------------------------------------------------------
-
-    def _step_n_closure_counting(self, thread: JThread, budget: int,
-                                 stop_depth: int = 0) -> int:
-        """Closure dispatch with the per-opcode histogram enabled.
-
-        Per-instruction (fusion disabled) so every executed opcode is
-        observed; with no periodic trigger ``tick()`` degenerates to a
-        counter bump, so results stay bit-identical to the batched loop.
-        """
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        cache = self._ccache
-        compiled_for = self._compiled_for
-        counts = self.op_counts
-        op_count = bc.OP_COUNT
-        while executed < budget and len(frames) > stop_depth:
-            frame = frames[-1]
-            method = frame.method
-            compiled = cache.get(method) or compiled_for(method)
-            pc = frame.pc
-            if pc >= compiled.ilen:
-                self._return(thread, VOID)
-                executed += 1
-                continue
-            frame.pc = pc + 1
-            executed += 1
-            runtime.tick()
-            op = compiled.opmap[pc]
-            if 0 <= op < op_count:
-                # Unknown opcodes are not counted (the compiled slot raises
-                # VerifyError below, matching the table loop's check order).
-                counts[op] += 1
-            npc = compiled.ccode[pc](frame, thread)
-            if npc >= 0:
-                frame.pc = npc
-        self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
-        return executed
-
-    def _step_n_table_counting(self, thread: JThread, budget: int,
-                               stop_depth: int = 0) -> int:
-        """Table dispatch with the per-opcode histogram enabled.
-
-        Serves both ``table`` and ``chain`` dispatch in counting mode (the
-        two are parity-identical); ticks per instruction, observationally
-        identical to the batched flush when no periodic trigger is armed.
-        """
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        handlers = _HANDLERS
-        op_count = bc.OP_COUNT
-        counts = self.op_counts
-        while executed < budget and len(frames) > stop_depth:
-            frame = frames[-1]
-            code = frame.method.code
-            pc = frame.pc
-            if pc >= len(code):
-                self._return(thread, VOID)
-                executed += 1
-                continue
-            op, a, b = code[pc]
-            frame.pc = pc + 1
-            executed += 1
-            runtime.tick()
-            if op >= op_count or op < 0:
-                raise VerifyError(f"unknown opcode {op}")
-            counts[op] += 1
-            handlers[op](self, runtime, thread, frame, a, b)
-        self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
         return executed
 
     def opcode_histogram(self) -> Dict[str, int]:

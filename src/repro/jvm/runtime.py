@@ -83,19 +83,20 @@ class RuntimeConfig:
     allocator: str = "next-fit"
     #: Interpreter dispatch strategy: "tiered" (the default —
     #: profile-guided: methods start in the closure tier with an
-    #: invocation + loop-backedge hotness counter and are promoted to the
-    #: compiled tier at a call boundary once hot), "compiled" (every
-    #: method compiled to generated Python source up front, with guarded
+    #: invocation + loop-backedge hotness counter and are promoted at a
+    #: call boundary once hot to generated Python source, with guarded
     #: speculation and deopt to the closure tier; see
-    #: :mod:`repro.jvm.compiledcode`), "closure" (pre-bound zero-decode
-    #: closures with quickening and superinstruction fusion;
+    #: :mod:`repro.jvm.compiledcode`), "compiled" (tiered, promoted on
+    #: first visit: ``promote_after`` is taken as 1, so every method is
+    #: codegenned at its first driver visit), "closure" (pre-bound
+    #: zero-decode closures with quickening and superinstruction fusion;
     #: :mod:`repro.jvm.closurecode`), "table" (opcode-indexed handler
     #: tuple) or "chain" (the original if/elif reference, kept for the
     #: opcode-parity differential suite).  The ``REPRO_DISPATCH`` env var
     #: overrides the default.
     dispatch: str = field(default_factory=default_dispatch)
-    #: Tiered-dispatch promotion threshold: a method is promoted to the
-    #: compiled tier at its next call boundary once its hotness counter
+    #: Tiered-dispatch promotion threshold: a method is promoted to
+    #: generated code at its next call boundary once its hotness counter
     #: (driver visits + backedges * promote_backedge_weight) reaches this
     #: value.  Only consulted when ``dispatch == "tiered"``; both knobs
     #: still enter :meth:`fingerprint` unconditionally because they are

@@ -160,8 +160,9 @@ class LiveSnapshot:
 
     A generalization of the crash dump: the same base schema
     (:func:`runtime_snapshot`) plus heartbeat identity (``seq``, ``pid``,
-    labels), the full :class:`~repro.obs.metrics.MetricsRegistry` dump,
-    and advisory wall-clock fields.
+    ``run``, labels), the full
+    :class:`~repro.obs.metrics.MetricsRegistry` dump, and advisory
+    wall-clock fields.
     """
 
     def __init__(self, data: Dict) -> None:
@@ -179,7 +180,8 @@ class LiveSnapshot:
                 f"ops={self.data.get('ops')}>")
 
     @classmethod
-    def capture(cls, runtime, *, seq: int = 0, phase: str = "live",
+    def capture(cls, runtime, *, seq: int = 0, run: int = 0,
+                phase: str = "live",
                 labels: Optional[Dict] = None,
                 uptime_s: Optional[float] = None,
                 include_metrics: bool = True) -> "LiveSnapshot":
@@ -188,6 +190,9 @@ class LiveSnapshot:
         data["phase"] = phase
         data["seq"] = seq
         data["pid"] = os.getpid()
+        # The heartbeat's per-process run ordinal (its run file's name):
+        # seq restarts with every run, so (pid, run, seq) is unique.
+        data["run"] = run
         data["labels"] = dict(labels or {})
         # Advisory only: never read back into the run.
         data["time"] = time.time()
@@ -238,9 +243,8 @@ class Heartbeat:
             # An unusable spool (read-only fs, bad path) degrades every
             # beat to a no-op; observability must never kill the run.
             pass
-        self.path = self.spool_dir / (
-            f"run-{self.pid}-{_next_run_ordinal()}.jsonl"
-        )
+        self.run = _next_run_ordinal()
+        self.path = self.spool_dir / f"run-{self.pid}-{self.run}.jsonl"
         self._lines: deque = deque(maxlen=self.ring)
         self._started = time.perf_counter()
         self._socket_path = socket_path
@@ -268,7 +272,8 @@ class Heartbeat:
     def beat(self, runtime, phase: str = "live") -> LiveSnapshot:
         """Capture and publish one snapshot (atomic rename, then socket)."""
         snapshot = LiveSnapshot.capture(
-            runtime, seq=self.seq, phase=phase, labels=self.labels,
+            runtime, seq=self.seq, run=self.run, phase=phase,
+            labels=self.labels,
             uptime_s=time.perf_counter() - self._started,
         )
         self.seq += 1

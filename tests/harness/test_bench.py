@@ -28,6 +28,25 @@ class TestRunBench:
             assert a["alloc_search_steps"] == b["alloc_search_steps"]
             assert a["wall_seconds"] > 0
 
+    def test_grid_has_no_pins_on_mutator_workloads(self):
+        # Mutator-driven workloads execute no bytecode, so a dispatch pin
+        # there would time the same code as ``cg``: the grid drops those
+        # cells and keeps every pin on the bytecode workloads.
+        for workloads in (bench.DEFAULT_WORKLOADS, bench.SMALL_WORKLOADS):
+            cells = bench.grid_cells(workloads, bench.DEFAULT_SYSTEMS)
+            for workload in workloads:
+                row = {s for w, s in cells if w == workload}
+                pins = row & set(bench.DISPATCH_PINS)
+                if workload.startswith("bc-"):
+                    assert pins == set(bench.DISPATCH_PINS), workload
+                else:
+                    assert not pins, workload
+                    assert "cg" in row and "jdk" in row
+        report = bench.run_bench(["db", "bc-loop"], ["cg", "cg-table"],
+                                 size=1, repeats=1)
+        assert [(e["workload"], e["system"]) for e in report["entries"]] \
+            == [("db", "cg"), ("bc-loop", "cg"), ("bc-loop", "cg-table")]
+
     def test_write_and_load_roundtrip(self, tmp_path):
         report = tiny_report()
         path = str(tmp_path / "bench.json")

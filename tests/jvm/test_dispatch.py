@@ -3,12 +3,12 @@
 The interpreter ships five dispatch tiers: the original if/elif chain
 (``dispatch="chain"``, the reference implementation), the opcode-indexed
 handler table (``"table"``), the closure-compiled tier (``"closure"``)
-with quickening and superinstruction fusion, the compiled tier
-(``"compiled"``) that lowers each method to generated Python source and
-deopts to closure slots at guard failures and quantum tails, and the
-tiered tier (``"tiered"``, the default) that starts every method on the
-closure tier and promotes it to the compiled tier at a call boundary
-once a hotness counter crosses ``promote_after``.  These tests run the
+with quickening and superinstruction fusion, the tiered tier
+(``"tiered"``, the default) that starts every method on the closure tier
+and promotes it at a call boundary, once a hotness counter crosses
+``promote_after``, to generated Python source that deopts to closure
+slots at guard failures and quantum tails, and the compiled tier
+(``"compiled"``): tiered, promoted on first visit.  These tests run the
 same programs under all five and require identical results, instruction
 counts, and VM state — and the parity corpus must collectively exercise
 *every* opcode, so a new opcode cannot be added to one tier and
@@ -505,6 +505,31 @@ class TestTieredPromotion:
         # Main.step is called 120 times so it must be among them.
         step = rt.program.lookup("Main").methods["step"]
         assert step in interp._pycache
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_compiled_promotes_every_method_on_first_visit(self, cache):
+        # ``compiled`` is tiered with a promotion threshold of 1, whatever
+        # promote_after says: each executed bytecode method is promoted
+        # at its first driver visit (by codegen when cold, by the cache
+        # probe when warm), so no hotness profile survives the run.
+        from repro.jvm.compiledcode import clear_codegen_caches
+
+        clear_codegen_caches()
+        if cache == "warm":
+            run_one(HOT_LOOP, [], "compiled")
+        result, rt = run_one(HOT_LOOP, [], "compiled",
+                             promote_after=1_000_000)
+        assert result == HOT_EXPECTED
+        interp = rt.interpreter
+        visited = {m.qualified_name for m in interp._ccache}
+        assert visited == {"Main.main", "Main.step"}
+        assert interp.methods_promoted == len(visited)
+        assert {m.qualified_name for m in interp._pycache} == visited
+        assert not interp._hotness
+        if cache == "cold":
+            assert interp.methods_codegenned >= len(visited)
+        else:
+            assert interp.methods_codegenned == 0
 
     def test_cold_run_never_promotes(self):
         # "Cold" means cold caches too: a warm codegen cache would

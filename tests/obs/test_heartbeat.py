@@ -178,6 +178,23 @@ class TestSpoolHygiene:
         mine = [f for f in files if run_file_pid(f) == os.getpid()]
         assert 0 < len(mine) <= MAX_RUN_FILES
 
+    def test_runs_in_one_process_carry_distinct_run_ordinals(self, tmp_path):
+        # seq restarts with every run, so two heartbeat-armed runs in one
+        # process can emit final snapshots with equal (pid, seq); the run
+        # ordinal (also the run file's name) tells them apart.
+        finals = []
+        for _ in range(2):
+            rt = run_loop(50, "closure", tmp_path, every=10_000)
+            assert rt.heartbeat.seq == 1  # only the final beat fired
+            finals.append(rt.heartbeat._lines[-1])
+        first, second = (json.loads(line) for line in finals)
+        assert first["seq"] == second["seq"] == 0
+        assert first["pid"] == second["pid"]
+        assert first["run"] != second["run"]
+        for snap in (first, second):
+            assert (tmp_path / f"run-{snap['pid']}-{snap['run']}.jsonl"
+                    ).exists()
+
     def test_close_is_idempotent(self, tmp_path):
         hb = Heartbeat(every=1, spool=tmp_path)
         rt = run_loop(50, "closure")

@@ -35,14 +35,16 @@ done:
 """
 
 DISPATCHES = ("chain", "table", "closure")
+ALL_DISPATCHES = ("chain", "table", "closure", "compiled", "tiered")
 
 
-def counted_runtime(dispatch, count_opcodes=True):
+def counted_runtime(dispatch, count_opcodes=True, **config_kwargs):
     config = RuntimeConfig(
         heap_words=4096,
         cg=CGPolicy(paranoid=True),
         dispatch=dispatch,
         count_opcodes=count_opcodes,
+        **config_kwargs,
     )
     return Runtime(config, program=assemble(SOURCE))
 
@@ -59,14 +61,20 @@ class TestHistogramTotals:
         assert hist["new"] == 25
         assert hist["pop"] == 25
 
-    @pytest.mark.parametrize("dispatch", DISPATCHES)
+    @pytest.mark.parametrize("dispatch", ALL_DISPATCHES)
     def test_histograms_identical_across_tiers(self, dispatch):
+        # Batched ticks, then per-instruction ticks (periodic GC):
+        # counting with per-op ticking is the path the shared
+        # per-instruction loops own, and it must agree with the batched
+        # chain reference.
         reference = counted_runtime("chain")
         reference.run("Main.main", [10])
-        rt = counted_runtime(dispatch)
-        rt.run("Main.main", [10])
-        assert (rt.interpreter.opcode_histogram()
-                == reference.interpreter.opcode_histogram())
+        for ticks in ({}, {"gc_period_ops": 7}):
+            rt = counted_runtime(dispatch, **ticks)
+            rt.run("Main.main", [10])
+            assert (rt.interpreter.opcode_histogram()
+                    == reference.interpreter.opcode_histogram()), ticks
+            assert rt.ops == reference.ops, ticks
 
     def test_disabled_means_no_counts(self):
         rt = counted_runtime("closure", count_opcodes=False)

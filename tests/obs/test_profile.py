@@ -1,5 +1,7 @@
 """PhaseProfiler: accumulation, reporting, and VM wiring."""
 
+from itertools import product
+
 from repro import CGPolicy, Mutator, Runtime, RuntimeConfig
 from repro.obs import NULL_PROFILER, PhaseProfiler
 from repro.obs.profile import (
@@ -7,7 +9,16 @@ from repro.obs.profile import (
     PHASE_INTERPRET,
     PHASE_MSA,
 )
+from repro.jvm.runtime import DISPATCH_CHOICES
 from tests.conftest import define_test_classes
+
+#: Step-loop families every dispatch tier selects between: batched
+#: ticks, per-instruction ticks (periodic GC), and opcode counting.
+LOOP_MODES = {
+    "batched": {},
+    "per-op": {"gc_period_ops": 50},
+    "counting": {"count_opcodes": True},
+}
 
 
 class TestAccumulation:
@@ -141,6 +152,9 @@ class TestVmWiring:
         assert a.objects_created == b.objects_created
 
     def test_interpreter_charges_phase_and_depth(self):
+        # Every step loop (batched, per-instruction, counting) under every
+        # dispatch tier is timed by the one profiling wrapper, and
+        # profiling moves no counter.
         from repro import assemble
 
         source = """
@@ -160,16 +174,29 @@ class TestVmWiring:
             load 1
             retval
         """
-        runtime = Runtime(
-            RuntimeConfig(heap_words=1 << 12, profile=True),
-            program=assemble(source),
-        )
-        result = runtime.run("Main.main", [])
-        assert result == 500
-        profiler = runtime.profiler
-        assert profiler.seconds[PHASE_INTERPRET] > 0.0
-        assert profiler.calls[PHASE_INTERPRET] >= 1
-        assert sum(profiler.depth_seconds.values()) > 0.0
+        for dispatch, mode in product(DISPATCH_CHOICES, LOOP_MODES):
+            case = (dispatch, mode)
+            runtimes = {}
+            for profile in (True, False):
+                runtime = Runtime(
+                    RuntimeConfig(heap_words=1 << 12, profile=profile,
+                                  dispatch=dispatch, **LOOP_MODES[mode]),
+                    program=assemble(source),
+                )
+                assert runtime.run("Main.main", []) == 500, case
+                runtimes[profile] = runtime
+            runtime, plain = runtimes[True], runtimes[False]
+            interp = runtime.interpreter
+            assert interp.step_n == interp._step_n_profiled, case
+            profiler = runtime.profiler
+            assert profiler.seconds[PHASE_INTERPRET] > 0.0, case
+            assert profiler.calls[PHASE_INTERPRET] >= 1, case
+            assert sum(profiler.depth_seconds.values()) > 0.0, case
+            assert runtime.ops == plain.ops, case
+            assert (interp.instructions_executed
+                    == plain.interpreter.instructions_executed), case
+            assert (interp.opcode_histogram()
+                    == plain.interpreter.opcode_histogram()), case
 
     def test_metrics_export_profile_gauges(self):
         from repro.api import run as run_workload
