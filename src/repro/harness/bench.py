@@ -186,7 +186,7 @@ def _harvest_compile_ms(workload: str, size: int, system: str,
     (Python source generation + ``compile``/``exec``) profiler phases
     from one *extra* profiled run — the timed repeats stay unprofiled so
     the phase timers never tax the wall clocks being reported.  Tiers
-    that never compile (chain/table) report 0.0.
+    that never compile (table) report 0.0.
 
     ``cold=False`` (the ``compile_ms`` column): the cross-runtime codegen
     cache is warm by harvest time (the timed repeats populated it), so

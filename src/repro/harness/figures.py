@@ -9,7 +9,6 @@ Naming: ``fig4_1`` reproduces Figure 4.1, ``figA_2`` Table A.2, etc.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -38,15 +37,9 @@ _CACHE: Dict[Tuple, RunResult] = {}
 #: one raises QuarantinedCellError instead of hanging or recomputing.
 _QUARANTINE: Dict[Tuple, FaultReport] = {}
 
-#: Bump when run semantics change in a way that invalidates stored results.
-#: v2: keys grew the RuntimeConfig fingerprint (allocator/dispatch/faults).
-#: v3: keys grew the workload-params axis.  v4: the tiered-dispatch
-#: default flip (fingerprints grew the promotion knobs) — kept in
-#: lockstep with :data:`repro.harness.pool.CACHE_VERSION`, which shares
-#: these on-disk files.
-_CACHE_VERSION = 4
-
-#: Disk cache directory (None disables).  Seeded from the environment so
+#: Disk cache directory (None disables): a
+#: :class:`~repro.harness.pool.ResultCache`, the same files the worker
+#: pool reads and writes.  Seeded from the environment so
 #: subprocesses and CI jobs can opt in without CLI plumbing.
 _RESULT_CACHE_DIR: Optional[Path] = (
     Path(os.environ["REPRO_RESULT_CACHE"])
@@ -126,36 +119,28 @@ def cell_key(workload: str, size: int, system: str,
             json.dumps(params or {}, sort_keys=True))
 
 
-def _cache_file(key: Tuple) -> Optional[Path]:
+def _disk_cache():
+    """The persistent :class:`~repro.harness.pool.ResultCache`, or None."""
     if _RESULT_CACHE_DIR is None:
         return None
-    digest = hashlib.sha1(
-        json.dumps([_CACHE_VERSION, *key]).encode()
-    ).hexdigest()
-    return _RESULT_CACHE_DIR / f"{digest}.json"
+    # Imported here, like the pool itself, so that importing the harness
+    # does not import multiprocessing.
+    from .pool import ResultCache
+
+    return ResultCache(_RESULT_CACHE_DIR)
 
 
-def _disk_load(key: Tuple) -> Optional[RunResult]:
-    path = _cache_file(key)
-    if path is None or not path.is_file():
+def _load_result(key: Tuple) -> Optional[RunResult]:
+    """The persistent result cache's entry for ``key``; None on a miss."""
+    cache = _disk_cache()
+    data = cache.load(key) if cache is not None else None
+    if data is None:
         return None
     try:
-        with path.open() as fh:
-            return result_from_dict(json.load(fh))
+        return result_from_dict(data)
     except (ValueError, KeyError, TypeError):
         # Corrupt or stale entry: recompute rather than fail.
         return None
-
-
-def _disk_store(key: Tuple, result: RunResult) -> None:
-    path = _cache_file(key)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with tmp.open("w") as fh:
-        json.dump(result_to_dict(result), fh)
-    tmp.replace(path)
 
 
 def cached_run(workload: str, size: int, system: str,
@@ -167,7 +152,7 @@ def cached_run(workload: str, size: int, system: str,
         raise QuarantinedCellError(key, _QUARANTINE[key])
     result = _CACHE.get(key)
     if result is None:
-        result = _disk_load(key)
+        result = _load_result(key)
         if result is None:
             result = api_run(
                 workload, size, system, gc_period_ops=gc_period_ops,
@@ -176,7 +161,9 @@ def cached_run(workload: str, size: int, system: str,
                 heartbeat_every=_HEARTBEAT_EVERY,
                 heartbeat_spool=_HEARTBEAT_SPOOL,
             )
-            _disk_store(key, result)
+            cache = _disk_cache()
+            if cache is not None:
+                cache.store(key, result_to_dict(result))
         _CACHE[key] = result
     return result
 
@@ -624,7 +611,7 @@ def _run_wave(keys: List[Tuple], jobs: int,
     for key in keys:
         if key in _CACHE or key in _QUARANTINE:
             continue
-        result = _disk_load(key)
+        result = _load_result(key)
         if result is not None:
             _CACHE[key] = result
         else:

@@ -10,8 +10,8 @@ Opcodes are plain module-level integers — the interpreter dispatches through
 a list indexed by opcode, and tuples ``(op, a, b)`` are the instruction
 representation (see :mod:`repro.jvm.model`).  The closure tier
 (:mod:`repro.jvm.closurecode`) compiles these tuples once per method into
-pre-bound Python closures, so an opcode added here needs a handler in all
-five dispatch tiers — the parity corpus in ``tests/jvm/test_dispatch.py``
+pre-bound Python closures, so an opcode added here needs a handler in every
+dispatch tier — the parity corpus in ``tests/jvm/test_dispatch.py``
 fails if any tier is forgotten.
 """
 

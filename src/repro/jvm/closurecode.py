@@ -1,9 +1,10 @@
-"""Closure-compiled dispatch: the third interpreter tier.
+"""Closure-compiled dispatch.
 
-``RuntimeConfig(dispatch="closure")`` — the default tier — compiles each
-method's bytecode once per runtime, at its first invocation, into a flat
-list of zero-decode Python closures: one slot per pc plus a sentinel slot
-for the implicit end-of-code return.  Every operand, constant, and runtime
+``RuntimeConfig(dispatch="closure")`` — also the cold and deopt tier of
+``tiered`` and ``compiled`` — compiles each method's bytecode once per
+runtime, at its first invocation, into a flat list of zero-decode Python
+closures: one slot per pc plus a sentinel slot for the implicit
+end-of-code return.  Every operand, constant, and runtime
 service is pre-bound into closure cells, so the driving loop in
 :meth:`~repro.jvm.interpreter.Interpreter._step_n_closure` reduces to::
 
@@ -15,12 +16,11 @@ attribute traffic.  A closure returns the next pc, or a negative sentinel:
 * ``-1`` — the frame changed (invoke/return): the driving loop re-reads the
   top frame and resumes at its saved ``pc``.
 * ``-2`` — the sentinel slot's implicit return fired: like ``-1``, but the
-  driving loop must not *tick* this instruction — the other two tiers tick
+  driving loop must not *tick* this instruction — every tier ticks
   only decoded instructions, never the implicit end-of-code return.
 
-Two further techniques ride on top, both semantics-preserving (the
-five-way opcode-parity suite in ``tests/jvm/test_dispatch.py`` is the
-oracle):
+One further technique rides on top, semantics-preserving (the opcode-parity
+suite in ``tests/jvm/test_dispatch.py`` is the oracle):
 
 **Quickening.**  ``getstatic``/``putstatic``/``invokestatic``/``new``
 resolve their symbolic operand on *first execution*, then overwrite their
@@ -34,26 +34,11 @@ a rewrite never changes which runtime services run or in what order — it
 only skips the redundant name-to-object resolution that precedes them.
 (Like real JVM quickening, this assumes method tables are frozen once a
 call site has executed; classes here are append-only at load time.)
-
-**Superinstructions.**  The assembler's peephole pass
-(:func:`repro.jvm.assembler.peephole_fusible`) marks non-overlapping hot
-pairs — ``load+load``, ``load+getfield``, ``const+add``, and a ``load`` or
-``const`` feeding an ``if_icmp*`` — and the compiler installs one fused
-closure at the pair's first pc.  pc numbering is untouched: the second
-slot keeps its plain closure, so branches into the middle of a pair still
-land on executable code.  A fused slot carries *weight 2* in the compiled
-method's ``weights`` tuple; the driving loop charges both instructions
-against its budget and, when only one instruction of budget remains, runs
-the pair's unfused first closure from the ``plain`` list instead.  A fused
-pair therefore never straddles a scheduler quantum or a fault-plan budget
-slice — round-robin interleavings, ``runtime.ops``, and injected-trap
-indices stay bit-identical with the table tier.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from . import bytecode as bc
 from .errors import NullPointerError, VerifyError
@@ -121,13 +106,6 @@ class CompiledMethod(NamedTuple):
     #: pc -> closure; ``len(code) + 1`` slots (the last is the implicit
     #: return sentinel).  A mutable list: quickening rewrites slots in place.
     ccode: List[Callable]
-    #: pc -> instructions the slot retires (2 for a fused pair, else 1).
-    #: None when no slot is fused — the driving loop takes its fast path.
-    weights: Optional[Tuple[int, ...]]
-    #: The unfused closure list (identical to ``ccode`` pre-fusion); the
-    #: driving loop falls back to ``plain[pc]`` when a fused pair would
-    #: overrun the remaining budget.  None when ``weights`` is None.
-    plain: Optional[List[Callable]]
     #: pc -> opcode, for the per-opcode histogram loops (counting mode).
     opmap: Tuple[int, ...]
     #: ``len(method.code)`` — the sentinel slot's index.
@@ -137,28 +115,11 @@ class CompiledMethod(NamedTuple):
     quick: QuickeningState
 
 
-#: if_icmp* opcode -> comparison callable, for the fused compare-and-branch
-#: factories.  (The unfused comparisons are open-coded closures instead —
-#: they are the hottest single instructions and save the extra call.)
-_ICMP_FUNCS = {
-    bc.IF_ICMPEQ: operator.eq,
-    bc.IF_ICMPNE: operator.ne,
-    bc.IF_ICMPLT: operator.lt,
-    bc.IF_ICMPLE: operator.le,
-    bc.IF_ICMPGT: operator.gt,
-    bc.IF_ICMPGE: operator.ge,
-}
-
-
-def compile_method(interp, method: JMethod, fuse: bool = False) -> CompiledMethod:
+def compile_method(interp, method: JMethod) -> CompiledMethod:
     """Compile ``method`` into a :class:`CompiledMethod` for ``interp``.
 
     Closures bind the interpreter's runtime services, so compiled code is
-    per-runtime (the interpreter caches it keyed by method identity).  With
-    ``fuse`` the assembler-marked superinstruction pairs are installed and
-    the weights/plain structures materialize; callers disable fusion in
-    per-instruction-tick mode (``gc_period_ops``) and in counting mode,
-    where every instruction must be observed individually.
+    per-runtime (the interpreter caches it keyed by method identity).
     """
     _bind_interpreter_symbols()
     runtime = interp.runtime
@@ -170,28 +131,7 @@ def compile_method(interp, method: JMethod, fuse: bool = False) -> CompiledMetho
         ccode[pc] = _compile_one(interp, runtime, ccode, quick, pc, op, a, b)
     ccode[ilen] = _make_implicit_return(interp)
     opmap = tuple(op for op, _, _ in code)
-
-    weights = None
-    plain = None
-    if fuse and ilen > 1:
-        fusible = method.fusible
-        if fusible is None:
-            from .assembler import peephole_fusible
-
-            fusible = method.fusible = peephole_fusible(code)
-        fused_slots = []
-        for pc in fusible:
-            fused = _fuse_pair(runtime, code, pc)
-            if fused is not None:
-                fused_slots.append((pc, fused))
-        if fused_slots:
-            plain = list(ccode)
-            w = [1] * (ilen + 1)
-            for pc, fused in fused_slots:
-                ccode[pc] = fused
-                w[pc] = 2
-            weights = tuple(w)
-    return CompiledMethod(ccode, weights, plain, opmap, ilen, quick)
+    return CompiledMethod(ccode, opmap, ilen, quick)
 
 
 # ---------------------------------------------------------------------------
@@ -691,75 +631,3 @@ def _q_invokevirtual(interp, runtime, quick, pc, name, nargs, nxt) -> Callable:
         invoke(thread, frame, method)
         return -1
     return op_invokevirtual
-
-
-# ---------------------------------------------------------------------------
-# Superinstruction factories
-# ---------------------------------------------------------------------------
-
-
-def _fuse_pair(runtime, code, pc) -> Optional[Callable]:
-    """Build the fused closure for the pair starting at ``pc`` (or None).
-
-    Only pairs the peephole pass recognizes reach here; the factories keep
-    the exact stack/event order of executing the two instructions back to
-    back.  Note the ``if_icmp*`` operand order: the first instruction
-    pushes ``y``, so the comparison is ``stack.pop() OP fused_y``.
-    """
-    op1, a1, _ = code[pc]
-    op2, a2, _ = code[pc + 1]
-    nxt2 = pc + 2
-
-    if op1 == bc.LOAD:
-        if op2 == bc.LOAD:
-            i1, i2 = a1, a2
-
-            def fused_load_load(frame, thread):
-                stack = frame.stack
-                loc = frame.locals
-                stack.append(loc[i1])
-                stack.append(loc[i2])
-                return nxt2
-            return fused_load_load
-
-        if op2 == bc.GETFIELD:
-            load_field = runtime.load_field
-            idx, fld = a1, a2
-
-            def fused_load_getfield(frame, thread):
-                obj = frame.locals[idx]
-                if obj is None:
-                    raise NullPointerError(f"getfield {fld} on null")
-                frame.stack.append(load_field(obj, fld, thread))
-                return nxt2
-            return fused_load_getfield
-
-        cmp_fn = _ICMP_FUNCS.get(op2)
-        if cmp_fn is not None:
-            idx, target = a1, a2
-
-            def fused_load_icmp(frame, thread):
-                return (target
-                        if cmp_fn(frame.stack.pop(), frame.locals[idx])
-                        else nxt2)
-            return fused_load_icmp
-
-    elif op1 == bc.CONST:
-        if op2 == bc.ADD:
-            k = a1
-
-            def fused_const_add(frame, thread):
-                stack = frame.stack
-                stack[-1] = stack[-1] + k
-                return nxt2
-            return fused_const_add
-
-        cmp_fn = _ICMP_FUNCS.get(op2)
-        if cmp_fn is not None:
-            k, target = a1, a2
-
-            def fused_const_icmp(frame, thread):
-                return target if cmp_fn(frame.stack.pop(), k) else nxt2
-            return fused_const_icmp
-
-    return None

@@ -7,23 +7,21 @@ the opcode's position.  The CG-relevant instructions delegate to the runtime
 services, which raise the collector events; the interpreter itself only
 moves values between locals, operand stacks, and the heap.
 
-Five dispatch tiers share this file's runtime services and must produce
+Four dispatch tiers share this file's runtime services and must produce
 identical stats on every program (the opcode-parity differential suite is
-the oracle): ``tiered`` (the default — profile-guided: methods start in
-the closure tier under a per-method invocation + loop-backedge hotness
-counter and are promoted to generated Python source,
-:mod:`repro.jvm.compiledcode`, at a call boundary once hot, see
-:meth:`Interpreter._step_n_tiered`), ``compiled`` (tiered, promoted on
-first visit: the same driver with a promotion threshold of 1),
-``closure`` (per-method closure compilation with quickening and
-superinstruction fusion, :mod:`repro.jvm.closurecode`), ``table`` (the
-loop below), and ``chain`` (the original if/elif reference, retained via
-``RuntimeConfig(dispatch="chain")``).
+the oracle, with ``table`` as its reference): ``tiered`` (the default —
+profile-guided: methods start in the closure tier under a per-method
+invocation + loop-backedge hotness counter and are promoted to generated
+Python source, :mod:`repro.jvm.compiledcode`, at a call boundary once
+hot, see :meth:`Interpreter._step_n_tiered`), ``compiled`` (tiered,
+promoted on first visit: the same driver with a promotion threshold of
+1), ``closure`` (per-method closure compilation with quickening,
+:mod:`repro.jvm.closurecode`), and ``table`` (the loop below).
 
-Four step loops serve them — chain, table, batched closure, and tiered —
-plus one closure per-instruction loop that every closure-family tier
-falls back to when instructions must be observed one at a time
-(periodic GC, heartbeat, or ``count_opcodes``).  Profiling and fault
+Three step loops serve them — table, batched closure, and tiered — plus
+one closure per-instruction loop that every closure-family tier falls
+back to when instructions must be observed one at a time (periodic GC,
+heartbeat, or ``count_opcodes``).  Profiling and fault
 injection are wrappers around whichever loop was selected, so no loop
 carries their bookkeeping.
 
@@ -515,25 +513,7 @@ class Interpreter:
                 f"dispatch must be one of {DISPATCH_CHOICES}, got {dispatch!r}"
                 f"{did_you_mean(dispatch, DISPATCH_CHOICES)}"
             )
-        #: Superinstruction fusion is enabled only where the batched closure
-        #: loop runs: with a periodic-GC trigger or a heartbeat armed every
-        #: instruction must tick individually (both fire at exact op
-        #: counts), and in counting mode every instruction must be
-        #: observed individually.  (Fault budget slicing is fine — the
-        #: weights mechanism keeps fused pairs inside every budget slice.)
-        #: The tiered driver (``compiled`` included) never fuses: its deopt
-        #: path single-steps closure slots one instruction at a time, and
-        #: a fused slot would retire two instructions charged as one
-        #: there; cold closure segments become the deopt targets after
-        #: promotion, so they must be unfused from the start.
-        self._fuse = (
-            dispatch == "closure"
-            and not runtime._tick_per_op
-            and not self.count_ops
-        )
-        if dispatch == "chain" and not self.count_ops:
-            self.step_n = self._step_n_chain
-        elif dispatch not in ("table", "chain"):
+        if dispatch != "table":
             if runtime._tick_per_op or self.count_ops:
                 # Per-instruction ticking (gc_period_ops / heartbeat) or
                 # per-opcode counting: the closure-family tiers run the
@@ -546,8 +526,7 @@ class Interpreter:
                 self.step_n = self._step_n_closure
             else:
                 self.step_n = self._step_n_tiered
-        # Otherwise the class's own ``step_n`` (the table loop) runs; it
-        # also counts opcodes for ``chain``, which is parity-equal.
+        # Otherwise the class's own ``step_n`` (the table loop) runs.
         if runtime.profiler.enabled:
             # Innermost wrapper, so every call of the selected loop (each
             # fault-budget slice included) is attributed separately.
@@ -799,208 +778,8 @@ class Interpreter:
         self.instructions_executed += executed
         return executed
 
-    def _step_n_chain(self, thread: JThread, budget: int,
-                      stop_depth: int = 0) -> int:
-        """The original if/elif dispatch loop, kept as the reference
-        implementation for the opcode-parity suite (``dispatch="chain"``)."""
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        while executed < budget and len(frames) > stop_depth:
-            frame = frames[-1]
-            method = frame.method
-            code = method.code
-            if frame.pc >= len(code):
-                # Fell off the end: implicit return void.
-                self._return(thread, VOID)
-                executed += 1
-                continue
-            op, a, b = code[frame.pc]
-            frame.pc += 1
-            executed += 1
-            runtime.tick()
-            stack = frame.stack
-
-            if op == bc.CONST:
-                stack.append(a)
-            elif op == bc.LOAD:
-                stack.append(frame.locals[a])
-            elif op == bc.STORE:
-                frame.locals[a] = stack.pop()
-            elif op == bc.ACONST_NULL:
-                stack.append(None)
-            elif op == bc.GETFIELD:
-                obj = stack.pop()
-                if obj is None:
-                    raise NullPointerError(f"getfield {a} on null")
-                stack.append(runtime.load_field(obj, a, thread))
-            elif op == bc.PUTFIELD:
-                value = stack.pop()
-                obj = stack.pop()
-                if obj is None:
-                    raise NullPointerError(f"putfield {a} on null")
-                runtime.store_field(obj, a, value, thread)
-            elif op == bc.NEW:
-                stack.append(runtime.allocate(a, thread))
-            elif op == bc.NEWARRAY:
-                length = stack.pop()
-                stack.append(
-                    runtime.allocate(Program.ARRAY, thread, length=length)
-                )
-            elif op == bc.AALOAD:
-                index = stack.pop()
-                array = stack.pop()
-                if array is None:
-                    raise NullPointerError("aaload on null array")
-                stack.append(runtime.load_element(array, index, thread))
-            elif op == bc.AASTORE:
-                value = stack.pop()
-                index = stack.pop()
-                array = stack.pop()
-                if array is None:
-                    raise NullPointerError("aastore on null array")
-                runtime.store_element(array, index, value, thread)
-            elif op == bc.ARRAYLENGTH:
-                array = stack.pop()
-                if array is None:
-                    raise NullPointerError("arraylength on null")
-                runtime.access(array, thread)
-                stack.append(array.length)
-            elif op == bc.GETSTATIC:
-                if type(a) is tuple:
-                    cls_name, field = a
-                else:
-                    cls_name, field = a.rsplit(".", 1)
-                cls = runtime.program.lookup(cls_name)
-                stack.append(runtime.load_static(field, cls))
-            elif op == bc.PUTSTATIC:
-                if type(a) is tuple:
-                    cls_name, field = a
-                else:
-                    cls_name, field = a.rsplit(".", 1)
-                cls = runtime.program.lookup(cls_name)
-                runtime.store_static(field, stack.pop(), cls)
-            elif op == bc.INVOKESTATIC:
-                method_callee = runtime.program.resolve(a)
-                self._invoke(thread, frame, method_callee)
-            elif op == bc.INVOKEVIRTUAL:
-                nargs = b
-                if nargs < 1:
-                    raise VerifyError("invokevirtual needs a receiver")
-                receiver = frame.stack[-nargs]
-                if receiver is None:
-                    raise NullPointerError(f"invokevirtual {a} on null")
-                runtime.access(receiver, thread)
-                method_callee = receiver.cls.resolve_method(a)
-                if method_callee.nargs != nargs:
-                    raise VerifyError(
-                        f"{method_callee.qualified_name} takes "
-                        f"{method_callee.nargs} args, call site passes {nargs}"
-                    )
-                self._invoke(thread, frame, method_callee)
-            elif op == bc.RETVAL:
-                value = stack.pop()
-                if isinstance(value, Handle):
-                    runtime.return_reference(value, thread)
-                self._return(thread, value)
-            elif op == bc.RETURN:
-                self._return(thread, VOID)
-            elif op == bc.SPAWN:
-                _h_spawn(self, runtime, thread, frame, a, b)
-            elif op == bc.LDC_STR:
-                stack.append(runtime.new_string(a, thread))
-            elif op == bc.INTERN:
-                string = stack.pop()
-                if string is None:
-                    raise NullPointerError("intern on null")
-                runtime.access(string, thread)
-                stack.append(runtime.intern(string))
-            elif op == bc.INSTANCEOF:
-                obj = stack.pop()
-                stack.append(self._instanceof(obj, a))
-            elif op == bc.DUP:
-                stack.append(stack[-1])
-            elif op == bc.POP:
-                stack.pop()
-            elif op == bc.SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            elif op == bc.ADD:
-                y = stack.pop()
-                stack[-1] = stack[-1] + y
-            elif op == bc.SUB:
-                y = stack.pop()
-                stack[-1] = stack[-1] - y
-            elif op == bc.MUL:
-                y = stack.pop()
-                stack[-1] = stack[-1] * y
-            elif op == bc.DIV:
-                y = stack.pop()
-                x = stack.pop()
-                if isinstance(x, int) and isinstance(y, int):
-                    stack.append(int(x / y) if y != 0 else _div_zero())
-                else:
-                    stack.append(x / y)
-            elif op == bc.MOD:
-                y = stack.pop()
-                x = stack.pop()
-                stack.append(x - int(x / y) * y if y != 0 else _div_zero())
-            elif op == bc.NEG:
-                stack[-1] = -stack[-1]
-            elif op == bc.IINC:
-                frame.locals[a] += b
-            elif op == bc.GOTO:
-                frame.pc = a
-            elif op == bc.IFZERO:
-                if stack.pop() == 0:
-                    frame.pc = a
-            elif op == bc.IFNZERO:
-                if stack.pop() != 0:
-                    frame.pc = a
-            elif op == bc.IFNULL:
-                if stack.pop() is None:
-                    frame.pc = a
-            elif op == bc.IFNONNULL:
-                if stack.pop() is not None:
-                    frame.pc = a
-            elif op == bc.IF_ICMPEQ:
-                y = stack.pop()
-                if stack.pop() == y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPNE:
-                y = stack.pop()
-                if stack.pop() != y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPLT:
-                y = stack.pop()
-                if stack.pop() < y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPLE:
-                y = stack.pop()
-                if stack.pop() <= y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPGT:
-                y = stack.pop()
-                if stack.pop() > y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPGE:
-                y = stack.pop()
-                if stack.pop() >= y:
-                    frame.pc = a
-            elif op == bc.IF_ACMPEQ:
-                y = stack.pop()
-                if stack.pop() is y:
-                    frame.pc = a
-            elif op == bc.IF_ACMPNE:
-                y = stack.pop()
-                if stack.pop() is not y:
-                    frame.pc = a
-            else:
-                raise VerifyError(f"unknown opcode {op}")
-        self.instructions_executed += executed
-        return executed
-
     # ------------------------------------------------------------------
-    # Closure dispatch (the default tier; see repro.jvm.closurecode)
+    # Closure dispatch (see repro.jvm.closurecode)
     # ------------------------------------------------------------------
 
     def _compiled_for(self, method: JMethod):
@@ -1016,7 +795,7 @@ class Interpreter:
         from .closurecode import compile_method
 
         started = perf_counter()
-        compiled = compile_method(self, method, fuse=self._fuse)
+        compiled = compile_method(self, method)
         elapsed = perf_counter() - started
         self.compile_seconds += elapsed
         self.methods_compiled += 1
@@ -1181,7 +960,7 @@ class Interpreter:
         profile-guided closure-to-generated-code promotion.
 
         Cold methods run the closure inner loop (as
-        :meth:`_step_n_closure`, unfused) while a hotness score
+        :meth:`_step_n_closure`) while a hotness score
         accumulates: +1 per driver visit, +``promote_backedge_weight``
         per backward branch observed in the segment.  When the score
         reaches ``promote_after`` (1 under ``compiled``, so every method
@@ -1380,11 +1159,7 @@ class Interpreter:
         Tick accounting matches the batched table loop: decoded
         instructions (including a faulting one) tick in one flush per
         quantum; implicit end-of-code returns (the ``-2`` sentinel) are
-        executed but never ticked.  When superinstructions are fused,
-        ``weights`` charges two instructions per fused slot and the loop
-        falls back to the pair's unfused first closure (``plain``) whenever
-        only one instruction of budget remains — so a fused pair never
-        straddles a quantum or a fault-plan budget slice.
+        executed but never ticked.
         """
         runtime = self.runtime
         executed = 0
@@ -1398,7 +1173,6 @@ class Interpreter:
                 method = frame.method
                 compiled = cache.get(method) or compiled_for(method)
                 ccode = compiled.ccode
-                weights = compiled.weights
                 pc = frame.pc
                 if pc > compiled.ilen:
                     # Wild branch past the end (hand-built code): the other
@@ -1406,40 +1180,16 @@ class Interpreter:
                     pc = compiled.ilen
                 limit = budget - executed
                 n = 0
-                if weights is None:
-                    try:
-                        while n < limit:
-                            n += 1
-                            pc = ccode[pc](frame, thread)
-                            if pc < 0:
-                                if pc == -2:
-                                    unticked += 1
-                                break
-                    finally:
-                        executed += n
-                else:
-                    plain = compiled.plain
-                    try:
-                        while n < limit:
-                            if weights[pc] == 1:
-                                n += 1
-                                pc = ccode[pc](frame, thread)
-                            elif limit - n >= 2:
-                                n += 2
-                                pc = ccode[pc](frame, thread)
-                            else:
-                                # One instruction of budget left but the
-                                # slot is a fused pair: run its unfused
-                                # first half so the slice boundary lands
-                                # between the two original instructions.
-                                n += 1
-                                pc = plain[pc](frame, thread)
-                            if pc < 0:
-                                if pc == -2:
-                                    unticked += 1
-                                break
-                    finally:
-                        executed += n
+                try:
+                    while n < limit:
+                        n += 1
+                        pc = ccode[pc](frame, thread)
+                        if pc < 0:
+                            if pc == -2:
+                                unticked += 1
+                            break
+                finally:
+                    executed += n
                 if pc >= 0:
                     frame.pc = pc
         finally:
@@ -1458,8 +1208,6 @@ class Interpreter:
         Mirrors the table loop's per-instruction ordering exactly — pc
         advanced, ``executed`` charged, ``tick()``, then the instruction —
         so collections trigger at identical instruction boundaries.
-        Superinstruction fusion is disabled in this mode (every
-        instruction must tick, and be counted, individually).
         """
         runtime = self.runtime
         executed = 0

@@ -40,7 +40,7 @@ if False:  # pragma: no cover - typing-only (imported lazily to break a cycle)
     from ..core.collector import ContaminatedCollector
 
 TRACING_CHOICES = ("marksweep", "none", "generational", "train")
-DISPATCH_CHOICES = ("tiered", "compiled", "closure", "table", "chain")
+DISPATCH_CHOICES = ("tiered", "compiled", "closure", "table")
 
 
 def default_dispatch() -> str:
@@ -89,9 +89,8 @@ class RuntimeConfig:
     #: :mod:`repro.jvm.compiledcode`), "compiled" (tiered, promoted on
     #: first visit: ``promote_after`` is taken as 1, so every method is
     #: codegenned at its first driver visit), "closure" (pre-bound
-    #: zero-decode closures with quickening and superinstruction fusion;
-    #: :mod:`repro.jvm.closurecode`), "table" (opcode-indexed handler
-    #: tuple) or "chain" (the original if/elif reference, kept for the
+    #: zero-decode closures with quickening; :mod:`repro.jvm.closurecode`)
+    #: or "table" (opcode-indexed handler tuple, the reference of the
     #: opcode-parity differential suite).  The ``REPRO_DISPATCH`` env var
     #: overrides the default.
     dispatch: str = field(default_factory=default_dispatch)

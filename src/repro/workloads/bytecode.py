@@ -4,15 +4,15 @@ The SPEC-shaped workloads drive the runtime through the direct
 :class:`~repro.jvm.mutator.Mutator`, bypassing the interpreter entirely —
 perfect for CG measurements, useless for measuring dispatch cost.  The
 workloads here are real assembled bytecode executed by
-:meth:`Runtime.run`, so the chain/table/closure/compiled/tiered tiers
+:meth:`Runtime.run`, so the table/closure/compiled/tiered tiers
 differ on them.  They are the workloads behind the bench harness's
-cg-vs-table speedup ladder and the five-way parity differential
+cg-vs-table speedup ladder and the dispatch-parity differential
 tests.
 
 * ``bc-arith`` — pure integer arithmetic and branching, zero allocation:
   dispatch overhead in isolation.
 * ``bc-list`` — linked-list build/traverse: ``new``/``putfield`` CG events
-  plus the ``load+getfield`` superinstruction on the hot walk.
+  plus a ``load+getfield`` hot walk.
 * ``bc-calls`` — virtual calls over alternating receiver classes (inline-
   cache stress), statics, an object array, and a spawned allocator thread.
 

@@ -11,7 +11,7 @@ arrival schedule and measure p50/p99/p999 request latency per system.
 Structure:
 
 * **Request handlers are bytecode** (``Srv.handle``), invoked once per
-  request through :meth:`Runtime.invoke`, so all five dispatch tiers
+  request through :meth:`Runtime.invoke`, so all four dispatch tiers
   execute the same handler program and CG counters stay bit-identical
   across tiers.  Each request allocates a request object, a three-header
   chain, and a response — all frame-local — plus a route-table read

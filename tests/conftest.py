@@ -22,7 +22,7 @@ def make_runtime(
 
     ``dispatch`` defaults to the ``REPRO_DISPATCH`` env knob (falling back
     to the runtime default), so CI can sweep the whole suite across the
-    chain/table/closure/compiled/tiered tiers without touching any test.
+    table/closure/compiled/tiered tiers without touching any test.
     """
     if cg is None:
         cg = CGPolicy(paranoid=paranoid, **cg_overrides)

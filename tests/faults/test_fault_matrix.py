@@ -184,20 +184,20 @@ class TestInterpStepTrap:
 class TestFaultDispatchParity:
     """Faults fire at identical instruction indices across dispatch tiers.
 
-    The closure tier fuses superinstructions; the fault wrapper slices the
-    budget at the firing point, so a trap must never skid past a fused
-    pair — whatever the ``after`` index, all five tiers stop at exactly
-    the same instruction with the same fault_stats.  The compiled tier
-    adds generated multi-instruction traces: the budget slice must refuse
+    The fault wrapper slices the budget at the firing point, so a trap
+    must never skid past it — whatever the ``after`` index, all four
+    tiers stop at exactly the same instruction with the same
+    fault_stats.  The compiled tier adds generated multi-instruction
+    traces: the budget slice must refuse
     a trace it cannot finish and fall back to single-stepped closures so
     the trap still lands on the exact index.  The tiered tier adds the
     promotion boundary: the trap index must be unchanged whether it lands
     before or after a method's promotion to the compiled tier.
     """
 
-    # Straight-line const+add blocks: plenty of fused pairs for the trap
-    # index to land in the middle of.
-    FUSED_LINE = (
+    # Straight-line const+add blocks: plenty of adjacent pairs for the
+    # trap index to land in the middle of.
+    PAIRED_LINE = (
         MAIN
         + "    const 0\n    store 0\n"
         + "    load 0\n    const 1\n    add\n    store 0\n" * 12
@@ -215,7 +215,7 @@ class TestFaultDispatchParity:
         + "done:\n    load 0\n    retval\n"
     )
 
-    DISPATCHES = ("chain", "table", "closure", "compiled", "tiered")
+    DISPATCHES = ("table", "closure", "compiled", "tiered")
 
     def run_faulted(self, source, plan, dispatch, heap_words=1 << 14,
                     **config_kwargs):
@@ -234,7 +234,7 @@ class TestFaultDispatchParity:
         stops = {}
         for dispatch in self.DISPATCHES:
             plan = FaultPlan([FaultSpec("interp.step", "trap", after=after)])
-            rt = self.run_faulted(self.FUSED_LINE, plan, dispatch)
+            rt = self.run_faulted(self.PAIRED_LINE, plan, dispatch)
             with pytest.raises(TrapFault):
                 rt.run("Main.main")
             stops[dispatch] = (
@@ -242,10 +242,8 @@ class TestFaultDispatchParity:
                 dict(rt.fault_stats),
             )
             assert rt.interpreter.instructions_executed == after
-        assert stops["table"] == stops["chain"]
-        assert stops["closure"] == stops["table"]
-        assert stops["compiled"] == stops["table"]
-        assert stops["tiered"] == stops["table"]
+        for dispatch in self.DISPATCHES[1:]:
+            assert stops[dispatch] == stops["table"], dispatch
 
     @pytest.mark.parametrize("after", [3, 25, 120, 400])
     def test_trap_index_unchanged_across_promotion(self, after):
@@ -253,7 +251,7 @@ class TestFaultDispatchParity:
         # ``after`` values land while Main.main is still on the closure
         # tier, late ones after it has been promoted to generated code.
         # Either side of the boundary, the trap must land on exactly the
-        # same instruction index the chain tier stops at.
+        # same instruction index the table tier stops at.
         hot_loop = (
             MAIN
             + "    const 0\n    store 0\n"
@@ -263,7 +261,7 @@ class TestFaultDispatchParity:
             + "done:\n    load 0\n    retval\n"
         )
         stops = {}
-        for dispatch in ("chain", "tiered"):
+        for dispatch in ("table", "tiered"):
             plan = FaultPlan([FaultSpec("interp.step", "trap", after=after)])
             rt = self.run_faulted(hot_loop, plan, dispatch,
                                   promote_after=2)
@@ -274,7 +272,7 @@ class TestFaultDispatchParity:
                 dict(rt.fault_stats),
             )
             assert rt.interpreter.instructions_executed == after
-        assert stops["tiered"] == stops["chain"]
+        assert stops["tiered"] == stops["table"]
         # Sanity on the scenario itself: the late trap indices really do
         # land after promotion (the early ones before it).
         rt_clean = self.run_faulted(hot_loop, FaultPlan([]), "tiered",
@@ -297,10 +295,8 @@ class TestFaultDispatchParity:
                 rt.collector.stats,
             )
             assert rt.fault_stats["injected.heap.alloc"] == 1
-        assert outcomes["table"] == outcomes["chain"]
-        assert outcomes["closure"] == outcomes["table"]
-        assert outcomes["compiled"] == outcomes["table"]
-        assert outcomes["tiered"] == outcomes["table"]
+        for dispatch in self.DISPATCHES[1:]:
+            assert outcomes[dispatch] == outcomes["table"], dispatch
 
 
 class TestNativeCallEscape:

@@ -142,7 +142,6 @@ class TestCacheVersioning:
     def test_cache_version_bumped_for_tiered_default(self):
         from repro.harness.pool import CACHE_VERSION
 
-        assert figures_mod._CACHE_VERSION == 4
         assert CACHE_VERSION == 4
 
     def test_cell_key_carries_params_axis(self):
@@ -211,8 +210,8 @@ class TestConfigValidation:
             RuntimeConfig(allocator="nxt-fit")
 
     def test_unknown_dispatch_suggests_close_match(self):
-        with pytest.raises(ValueError, match="did you mean 'chain'"):
-            RuntimeConfig(dispatch="chian")
+        with pytest.raises(ValueError, match="did you mean 'table'"):
+            RuntimeConfig(dispatch="tabel")
 
     def test_unknown_tracing_suggests_close_match(self):
         with pytest.raises(ValueError, match="did you mean 'marksweep'"):
@@ -263,7 +262,7 @@ class TestConfigFingerprint:
             allocator="segregated").fingerprint()
         # Explicit tiers, not the default: REPRO_DISPATCH may redefine it.
         assert RuntimeConfig(dispatch="table").fingerprint() != RuntimeConfig(
-            dispatch="chain").fingerprint()
+            dispatch="closure").fingerprint()
         plan = FaultPlan.parse("heap.alloc:oom:after=7")
         assert base.fingerprint() != RuntimeConfig(
             faults=plan).fingerprint()

@@ -83,6 +83,16 @@ class TestDiskCache:
         result = cached_run("db", 1, "cg")
         assert result.workload == "db"
 
+    def test_unwritable_cache_dir_costs_only_the_store(self, tmp_path):
+        # The cache path runs through a regular file, so every mkdir/open
+        # below it fails; the computed cell must still come back.
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        figures_mod.set_result_cache(str(blocker / "cache"))
+        result = cached_run("db", 1, "cg")
+        assert result.workload == "db"
+        assert blocker.read_text() == ""
+
     def test_disabled_cache_writes_nothing(self, tmp_path):
         figures_mod.set_result_cache(None)
         cached_run("db", 1, "cg")

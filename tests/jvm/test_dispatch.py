@@ -1,25 +1,24 @@
-"""Five-way dispatch parity: chain vs table vs closure vs compiled vs tiered.
+"""Dispatch parity: table vs closure vs compiled vs tiered.
 
-The interpreter ships five dispatch tiers: the original if/elif chain
-(``dispatch="chain"``, the reference implementation), the opcode-indexed
-handler table (``"table"``), the closure-compiled tier (``"closure"``)
-with quickening and superinstruction fusion, the tiered tier
+The interpreter ships four dispatch tiers: the opcode-indexed handler
+table (``dispatch="table"``, the reference implementation), the
+closure-compiled tier (``"closure"``) with quickening, the tiered tier
 (``"tiered"``, the default) that starts every method on the closure tier
 and promotes it at a call boundary, once a hotness counter crosses
 ``promote_after``, to generated Python source that deopts to closure
 slots at guard failures and quantum tails, and the compiled tier
 (``"compiled"``): tiered, promoted on first visit.  These tests run the
-same programs under all five and require identical results, instruction
+same programs under all four and require identical results, instruction
 counts, and VM state — and the parity corpus must collectively exercise
 *every* opcode, so a new opcode cannot be added to one tier and
 forgotten in the others.
 
-The closure tier gets extra scrutiny: quickening must rewrite slots
-in place without changing observable behaviour, and a fused
-superinstruction must never straddle a scheduler quantum (the budget-split
-logic falls back to the unfused closures at a slice boundary).  The
-compiled tier gets its own: deopt mid-block, deopt at a quantum boundary,
-and generated-code reuse across invocations must all be invisible.
+The closure tier gets extra scrutiny: quickening must rewrite slots in
+place without changing observable behaviour, and no instruction may skid
+across a scheduler quantum, however small.  The compiled tier gets its
+own: deopt mid-block, deopt at a quantum boundary, and generated-code
+reuse across invocations must all be invisible.  A last table pins which
+step loop each dispatch value installs.
 """
 
 import pytest
@@ -27,10 +26,11 @@ import pytest
 from repro import CGPolicy, Runtime, RuntimeConfig, assemble
 from repro.api import config_for
 from repro.jvm import bytecode as bc
+from repro.jvm.interpreter import Interpreter
 from repro.jvm.errors import VerifyError
 from repro.workloads.base import get_workload
 
-DISPATCHES = ("chain", "table", "closure", "compiled", "tiered")
+DISPATCHES = ("table", "closure", "compiled", "tiered")
 
 MAIN = "class Main\nmethod Main.main(0)\n"
 
@@ -148,9 +148,8 @@ class TestOpcodeParity:
         assert_parity(source, args, expected)
 
     def test_parity_under_periodic_gc(self):
-        # gc_period_ops forces the per-instruction tick paths (no batching,
-        # no fusion for the closure tier), and periodic collections
-        # mid-program.
+        # gc_period_ops forces the per-instruction tick paths (no
+        # batching), and periodic collections mid-program.
         source, args, expected = PARITY_PROGRAMS[2]
         assert_parity(source, args, expected, gc_period_ops=7,
                       heap_words=4096)
@@ -172,7 +171,6 @@ class TestOpcodeParity:
             program = assemble(MAIN + "    const 1\n    retval\n")
             method = program.lookup("Main").methods["main"]
             method.code[0] = (bc.OP_COUNT + 5, None, None)
-            method.fusible = None  # stale: recompute from the patched code
             rt = Runtime(RuntimeConfig(dispatch=dispatch), program=program)
             with pytest.raises(VerifyError, match="unknown opcode"):
                 rt.run("Main.main", [])
@@ -243,7 +241,7 @@ class TestQuickening:
             assert result == 5
 
 
-FUSIBLE_LOOP = (
+PAIRED_LOOP = (
     "class Pair\nfield a\nfield b\n"
     + MAIN
     + "    new Pair\n    store 0\n"
@@ -253,7 +251,8 @@ FUSIBLE_LOOP = (
     + "    const 0\n    store 2\n"
     + "loop:\n"
     + "    load 1\n    const 200\n    if_icmpge done\n"
-    # load+getfield, const+add, load+load: all three fusion shapes, hot.
+    # load+getfield, const+add, load+load: hot adjacent pairs, so small
+    # quanta split the loop body between the two halves of each.
     + "    load 0\n    getfield a\n"
     + "    load 2\n    add\n"
     + "    const 3\n    add\n"
@@ -265,32 +264,22 @@ FUSIBLE_LOOP = (
     + "    load 2\n    retval\n"
 )
 
+PAIRED_EXPECTED = 200 * (11 + 3)
+
 
 class TestSuperinstructions:
-    def test_fusible_pairs_found(self):
-        program = assemble(FUSIBLE_LOOP)
-        method = program.lookup("Main").methods["main"]
-        assert method.fusible, "peephole pass found nothing to fuse"
+    """Quantum splits inside instruction pairs (the shapes a
+    superinstruction pass would fuse) never skid: every tier charges and
+    interleaves one instruction at a time."""
 
     @pytest.mark.parametrize("quantum", [1, 2, 3, 7, 100])
     def test_quantum_split_never_skids(self, quantum):
-        # A fused pair counts as two instructions; when the remaining
-        # budget is one, the plain closure must run instead.  Whatever the
-        # quantum, closure and table agree bit for bit.
-        expected = 200 * (11 + 3)
-        snapshots = {}
-        for dispatch in ("table", "closure", "compiled", "tiered"):
-            result, rt = run_one(FUSIBLE_LOOP, [], dispatch,
-                                 quantum=quantum)
-            assert result == expected
-            snapshots[dispatch] = snapshot(rt)
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        # Whatever the quantum, every tier agrees with table bit for bit.
+        assert_parity(PAIRED_LOOP, [], PAIRED_EXPECTED, quantum=quantum)
 
     def test_quantum_split_with_threads(self):
         # Round-robin across a spawned allocator thread: the quantum
-        # boundary now also decides interleaving, so any skid past a fused
+        # boundary now also decides interleaving, so any skid past a
         # pair would shift CG events between threads.
         source = (
             "class Node\nfield next\n"
@@ -312,15 +301,7 @@ class TestSuperinstructions:
             + "    iinc 0 1\n    goto loop\n"
             + "done:\n    load 1\n    retval\n"
         )
-        snapshots = {}
-        for dispatch in ("table", "closure", "compiled", "tiered"):
-            result, rt = run_one(source, [], dispatch, quantum=7,
-                                 heap_words=4096)
-            assert result == 300
-            snapshots[dispatch] = snapshot(rt)
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        assert_parity(source, [], 300, quantum=7, heap_words=4096)
 
 
 class TestWorkloadDifferential:
@@ -342,11 +323,8 @@ class TestWorkloadDifferential:
                 rt.heap.occupancy(),
                 rt.ops,
             )
-        assert snapshots["table"] == snapshots["chain"]
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        for dispatch in DISPATCHES[1:]:
+            assert snapshots[dispatch] == snapshots["table"], dispatch
 
     @pytest.mark.parametrize(
         "name", ["bc-arith", "bc-list", "bc-calls", "bc-loop"])
@@ -367,11 +345,8 @@ class TestWorkloadDifferential:
                 rt.heap.occupancy(),
                 rt.ops,
             )
-        assert snapshots["table"] == snapshots["chain"]
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        for dispatch in DISPATCHES[1:]:
+            assert snapshots[dispatch] == snapshots["table"], dispatch
 
 
 POLY_SOURCE = (
@@ -407,7 +382,7 @@ class TestCompiledDeopt:
     def test_polymorphic_guard_deopt_mid_block(self):
         # The call site alternates Square/Circle, so whichever class the
         # site quickens to, half the calls fail the guard and finish the
-        # block on the closure tier.  All five tiers still agree exactly.
+        # block on the closure tier.  All four tiers still agree exactly.
         assert_parity(POLY_SOURCE, [], POLY_EXPECTED)
 
     def test_deopt_site_stays_on_generated_code(self):
@@ -427,26 +402,12 @@ class TestCompiledDeopt:
         # block boundary, so deopted instructions and generated-code
         # instructions interleave within a single slice.  Tick totals and
         # heap state still match the table tier bit for bit.
-        snapshots = {}
-        for dispatch in ("table", "closure", "compiled", "tiered"):
-            result, rt = run_one(POLY_SOURCE, [], dispatch, quantum=quantum)
-            assert result == POLY_EXPECTED
-            snapshots[dispatch] = snapshot(rt)
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        assert_parity(POLY_SOURCE, [], POLY_EXPECTED, quantum=quantum)
 
     def test_deopt_at_fused_pair_boundary(self):
-        # The deopt target is the *unfused* closure form: landing between
-        # the halves of what the closure tier would fuse must not skid.
-        snapshots = {}
-        for dispatch in ("table", "closure", "compiled", "tiered"):
-            result, rt = run_one(FUSIBLE_LOOP, [], dispatch, quantum=1)
-            assert result == 200 * (11 + 3)
-            snapshots[dispatch] = snapshot(rt)
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        # A quantum of 1 deopts generated code to the closure slots between
+        # the two halves of every adjacent pair; none may skid.
+        assert_parity(PAIRED_LOOP, [], PAIRED_EXPECTED, quantum=1)
 
     def test_codegen_cache_shared_across_runtimes(self):
         # Identical bytecode in a fresh runtime reuses the cached
@@ -621,3 +582,46 @@ class TestTieredPromotion:
         assert result == ref_result == expected
         assert snapshot(rt) == snapshot(ref_rt)
         assert rt.interpreter.methods_recompiled > 0
+
+
+#: (dispatch, mode) -> the step loop ``Interpreter.__init__`` installs.
+#: Modes: "batched" (nothing observes single instructions), and the three
+#: that need every instruction ticked or counted one at a time.
+_PER_OP_MODES = ("gc_period_ops", "heartbeat_every", "count_opcodes")
+EXPECTED_LOOPS = {
+    ("table", "batched"): "step_n",
+    ("closure", "batched"): "_step_n_closure",
+    ("compiled", "batched"): "_step_n_tiered",
+    ("tiered", "batched"): "_step_n_tiered",
+    **{("table", mode): "step_n" for mode in _PER_OP_MODES},
+    **{(dispatch, mode): "_step_n_closure_per_op"
+       for dispatch in ("closure", "compiled", "tiered")
+       for mode in _PER_OP_MODES},
+}
+
+
+class TestLoopSelection:
+    @pytest.mark.parametrize("dispatch,mode", sorted(EXPECTED_LOOPS))
+    def test_installed_loop(self, dispatch, mode, tmp_path):
+        kwargs = {
+            "batched": {},
+            "gc_period_ops": {"gc_period_ops": 1000},
+            "heartbeat_every": {"heartbeat_every": 1000,
+                                "heartbeat_spool": str(tmp_path)},
+            "count_opcodes": {"count_opcodes": True},
+        }[mode]
+        rt = Runtime(RuntimeConfig(dispatch=dispatch, **kwargs))
+        try:
+            step_n = rt.interpreter.step_n
+            assert step_n.__func__ is getattr(
+                Interpreter, EXPECTED_LOOPS[dispatch, mode])
+        finally:
+            if rt.heartbeat is not None:
+                rt.heartbeat.close(rt)
+
+    def test_chain_is_not_a_dispatch_value(self, monkeypatch):
+        with pytest.raises(ValueError, match="dispatch"):
+            RuntimeConfig(dispatch="chain")
+        monkeypatch.setenv("REPRO_DISPATCH", "chain")
+        with pytest.raises(ValueError, match="dispatch"):
+            RuntimeConfig()

@@ -4,7 +4,7 @@ The heartbeat is the live counterpart of the crash dump: every
 ``heartbeat_every`` executed opcodes the runtime serializes a
 :class:`LiveSnapshot` into a bounded spool ring.  The contract under test:
 
-* beats fire at *exact* op counts, identically under all five dispatch
+* beats fire at *exact* op counts, identically under all four dispatch
   tiers (arming a heartbeat forces the per-instruction tick loops, same
   discipline as ``gc_period_ops``);
 * arming a heartbeat leaves every determinism counter bit-identical to a
@@ -33,7 +33,7 @@ from repro.obs.heartbeat import (
     runtime_snapshot,
 )
 
-DISPATCHES = ("chain", "table", "closure")
+DISPATCHES = ("table", "closure", "tiered")
 
 #: ~8 ops per iteration plus prologue; allocates a Node each lap so the
 #: heap/equilive sections of the snapshot are non-trivial.
@@ -101,8 +101,8 @@ class TestCadence:
             schedules[dispatch] = [
                 (s["seq"], s["ops"], s["phase"]) for s in spools[-1]
             ]
-        assert schedules["table"] == schedules["chain"]
-        assert schedules["closure"] == schedules["chain"]
+        assert schedules["closure"] == schedules["table"]
+        assert schedules["tiered"] == schedules["table"]
 
     def test_beats_fire_alongside_periodic_gc(self, tmp_path):
         # gc_period and heartbeat share the per-op tick path; both triggers

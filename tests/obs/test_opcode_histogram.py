@@ -34,8 +34,8 @@ done:
     retval
 """
 
-DISPATCHES = ("chain", "table", "closure")
-ALL_DISPATCHES = ("chain", "table", "closure", "compiled", "tiered")
+DISPATCHES = ("table", "closure", "tiered")
+ALL_DISPATCHES = ("table", "closure", "compiled", "tiered")
 
 
 def counted_runtime(dispatch, count_opcodes=True, **config_kwargs):
@@ -66,8 +66,8 @@ class TestHistogramTotals:
         # Batched ticks, then per-instruction ticks (periodic GC):
         # counting with per-op ticking is the path the shared
         # per-instruction loops own, and it must agree with the batched
-        # chain reference.
-        reference = counted_runtime("chain")
+        # table reference.
+        reference = counted_runtime("table")
         reference.run("Main.main", [10])
         for ticks in ({}, {"gc_period_ops": 7}):
             rt = counted_runtime(dispatch, **ticks)

@@ -3,7 +3,7 @@
 The server workload is the repo's stand-in for the paper's ch. 4.2 claim
 (CG suits long-running servers).  What these tests pin:
 
-* the run is deterministic — repeat runs and all five dispatch tiers
+* the run is deterministic — repeat runs and all four dispatch tiers
   produce bit-identical CG counters;
 * arrival schedules are seeded and pattern-shaped (integer arithmetic
   only, so the schedule replays anywhere);
@@ -26,7 +26,7 @@ from repro.workloads.server import (
     arrival_gaps,
 )
 
-DISPATCH_TIERS = ("chain", "table", "closure", "compiled")
+DISPATCH_TIERS = ("table", "closure", "compiled", "tiered")
 
 
 def counters_of(result):
@@ -78,7 +78,7 @@ class TestDeterminism:
 
     def test_all_four_dispatch_tiers_bit_identical(self):
         runs = {tier: tier_run(tier) for tier in DISPATCH_TIERS}
-        baseline = runs["chain"]
+        baseline = runs["table"]
         for tier in DISPATCH_TIERS[1:]:
             assert runs[tier] == baseline, tier
 
