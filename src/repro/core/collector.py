@@ -126,21 +126,7 @@ class ContaminatedCollector:
     def on_alloc(self, handle: Handle, frame: Frame) -> EquiliveBlock:
         """A new object is associated with the currently active frame."""
         self.stats.objects_created += 1
-        # Inline of equilive.create(): this runs once per allocation.
-        equilive = self.equilive
-        ds = equilive.ds
-        parent = ds._parent
-        hid = handle.id
-        n = len(parent)
-        if hid >= n:
-            parent[n:] = range(n, hid + 1)
-            ds._rank[n:] = [0] * (hid + 1 - n)
-        else:
-            parent[hid] = hid
-            ds._rank[hid] = 0
-        block = EquiliveBlock(handle, frame)
-        equilive._blocks[hid] = block
-        frame.cg_blocks[block] = None
+        block = self.equilive.create(handle, frame)
         if self._trace:
             self.tracer.emit(
                 "new", handle=handle.id, cls=handle.cls.name,
@@ -154,7 +140,12 @@ class ContaminatedCollector:
         return block
 
     def on_store(self, container: Handle, value: Optional[Handle]) -> None:
-        """``putfield``/``aastore``: symmetric contamination (chapter 2)."""
+        """``putfield``/``aastore``: symmetric contamination (chapter 2).
+
+        Both blocks are resolved with the inline find of
+        :meth:`EquiliveManager.block_of` (one counted find each, the same
+        errors for untracked or freed handles).
+        """
         self.stats.store_events += 1
         if value is None:
             return
@@ -163,11 +154,48 @@ class ContaminatedCollector:
         if value.freed:
             value.check_live()
         equilive = self.equilive
-        bc = equilive.block_of(container)
-        bv = equilive.block_of(value)
+        ds = equilive.ds
+        parent = ds._parent
+        n = len(parent)
+        cid = container.id
+        vid = value.id
+        if not 0 <= cid < n:
+            raise IllegalStateError(
+                f"object #{cid} has no equilive block (never tracked)"
+            )
+        ds.finds += 1
+        rc = cid
+        while parent[rc] != rc:
+            rc = parent[rc]
+        while parent[cid] != rc:
+            parent[cid], cid = rc, parent[cid]
+        registry = equilive._blocks
+        bc = registry.get(rc)
+        if bc is None:
+            raise IllegalStateError(
+                f"object #{container.id} has no equilive block "
+                "(freed or untracked)"
+            )
+        if not 0 <= vid < n:
+            raise IllegalStateError(
+                f"object #{vid} has no equilive block (never tracked)"
+            )
+        ds.finds += 1
+        rv = vid
+        while parent[rv] != rv:
+            rv = parent[rv]
+        while parent[vid] != rv:
+            parent[vid], vid = rv, parent[vid]
+        bv = registry.get(rv)
+        if bv is None:
+            raise IllegalStateError(
+                f"object #{value.id} has no equilive block "
+                "(freed or untracked)"
+            )
         if bc is bv:
             return
-        if bv.is_static and not bc.is_static and self.policy.static_opt:
+        if (bv.static_cause is not None and bc.static_cause is None
+                and self.policy.static_opt):
             # Section 3.4: referencing an already-static object cannot make
             # it "more live"; skip contaminating the container.
             self.stats.static_opt_hits += 1
@@ -185,20 +213,29 @@ class ContaminatedCollector:
     def on_areturn(self, value: Handle, caller: Optional[Frame]) -> None:
         """``areturn``: the block must outlive the caller's frame."""
         self.stats.areturn_events += 1
-        value.check_live()
+        if value.freed:
+            value.check_live()
         if caller is None:
             # Returned off the bottom of a thread's stack (or to a native
             # caller with no frame): nothing anchors it, pin conservatively.
             self.pin_static(value, CAUSE_ROOTLESS)
             return
         block = self.equilive.block_of(value)
-        if block.is_static:
+        if block.static_cause is not None:
             return
-        if caller.is_older_than(block.frame):
+        # Inline of ``caller.is_older_than(block.frame)``.  A collectible
+        # block hangs off a real frame, so only the caller can be frame 0
+        # (depth -1, older than everything).
+        frame = block.frame
+        if caller.depth >= 0 and caller.thread_id != frame.thread_id:
+            raise IllegalStateError(
+                "frame age comparison across threads (block should be static)"
+            )
+        if caller.depth < frame.depth:
             if self._trace:
                 self.tracer.emit(
                     "promote", handle=value.id,
-                    from_depth=block.frame.depth, to_depth=caller.depth,
+                    from_depth=frame.depth, to_depth=caller.depth,
                 )
             self.equilive.move_to_frame(block, caller)
 
@@ -224,51 +261,75 @@ class ContaminatedCollector:
 
         Returns the number of objects reclaimed.  With recycling enabled the
         dead objects are parked for reuse instead of freed (section 3.7).
+        One walk of the frame's block list: per block, one counted find for
+        its representative, one registry delete, an inline reset of its
+        members' union-find slots, and one :meth:`Heap.free_all` call for
+        its live members.  Frees follow ``cg_blocks`` order, then member
+        order (DESIGN.md section 6, invariant 7).
         """
-        self.stats.frame_pops += 1
-        if not frame.cg_blocks:
+        stats = self.stats
+        stats.frame_pops += 1
+        blocks = frame.cg_blocks
+        if not blocks:
             if self._trace:
                 self.tracer.emit(
                     "frame_pop", frame=frame.frame_id, depth=frame.depth,
                     blocks=0, freed=0,
                 )
             return 0
-        freed = 0
+        frame.cg_blocks = {}
         recycling = self.policy.recycling
+        probe = self.reachability_probe if self.policy.paranoid else None
+        trace = self._trace
         equilive = self.equilive
-        stats = self.stats
-        age_hist = stats.age_hist
+        ds = equilive.ds
+        parent = ds._parent
+        rank = ds._rank
+        registry = equilive._blocks
+        free_all = self.heap.free_all
+        size_hist = stats.block_size_hist
         depth = frame.depth
-        reclaim = self.heap.retire if recycling else self.heap.free
-        blocks = list(frame.cg_blocks)
+        ds.finds += len(blocks)
+        popped = []
         for block in blocks:
-            live = [h for h in block.members if not h.freed]
-            equilive.detach(block)
-            equilive.forget_members(block)
+            members = block.members
+            root = members[0].id
+            while parent[root] != root:
+                root = parent[root]
+            del registry[root]
+            live = []
+            for handle in members:
+                hid = handle.id
+                parent[hid] = hid
+                rank[hid] = 0
+                if not handle.freed:
+                    live.append(handle)
             if not live:
                 continue
-            if self.policy.paranoid and self.reachability_probe is not None:
-                self.reachability_probe(live)
+            if probe is not None:
+                probe(live)
+            n = len(live)
             stats.blocks_collected += 1
-            stats.block_size_hist[len(live)] += 1
-            if self._trace:
+            size_hist[n] += 1
+            if trace:
                 self.tracer.emit(
                     "block_collect", frame=frame.frame_id, depth=depth,
-                    size=len(live), exact=not block.ever_unioned,
+                    size=n, exact=not block.ever_unioned,
                 )
             if not block.ever_unioned:
                 stats.exact_blocks += 1
-                stats.exact_objects += len(live)
-            for handle in live:
-                age_hist[handle.birth_depth - depth] += 1
-                reclaim(handle, "contaminated-gc")
-                freed += 1
+                stats.exact_objects += n
+            free_all(live, "contaminated-gc", not recycling)
             if recycling:
                 self.recycle.park(live)
-        stats.objects_popped += freed
-        if self._trace:
+            popped += live
+        freed = len(popped)
+        if freed:
+            stats.age_hist.update([h.birth_depth - depth for h in popped])
+            stats.objects_popped += freed
+        if trace:
             self.tracer.emit(
-                "frame_pop", frame=frame.frame_id, depth=frame.depth,
+                "frame_pop", frame=frame.frame_id, depth=depth,
                 blocks=len(blocks), freed=freed,
             )
         return freed
@@ -454,7 +515,9 @@ class ContaminatedCollector:
             bb.static_cause = CAUSE_SHARED
             target = self.static_frame
         else:
-            target = ba.frame if ba.frame.is_older_than(bb.frame) else bb.frame
+            # Inline of ``ba.frame.is_older_than(bb.frame)``: both frames
+            # are real and on one thread here.
+            target = ba.frame if ba.frame.depth < bb.frame.depth else bb.frame
         if self._trace:
             self.tracer.emit(
                 "union", a=ba.members[0].id, b=bb.members[0].id,

@@ -9,9 +9,12 @@ contaminate each other.
 Representation: :class:`EquiliveBlock` is the payload hanging off a
 union-find root.  ``members`` uses lazy deletion — an object reclaimed out of
 band (by the tracing collector) just stays in the list with its ``freed``
-flag set and is skipped when the block is collected — so merging is O(1)
-amortised and nothing is ever removed from the middle of a list, exactly like
-the linked-list splices the paper's implementation uses.
+flag set and is skipped when the block is collected — so nothing is ever
+removed from the middle of a list.  Where the paper's implementation splices
+linked lists in O(1), a merge here copies the smaller member list onto the
+larger one (``list.extend``): an object is copied only when its list at
+least doubles, so the cost is O(log n) amortised per member.  A frame's
+``cg_blocks`` is a dict used as an insertion-ordered set.
 """
 
 from __future__ import annotations
@@ -74,13 +77,20 @@ class EquiliveManager:
     # ------------------------------------------------------------------
 
     def create(self, handle: Handle, frame: Frame) -> EquiliveBlock:
-        """Make a fresh singleton block for a newly allocated object."""
+        """Make a fresh singleton block for a newly allocated object.
+
+        The only place a handle gets its union-find slot and its block
+        (allocation and the section 3.6 reset pass both come through here).
+        """
         hid = handle.id
-        # Inline of ds.ensure_singleton(): one call saved per allocation.
         ds = self.ds
         parent = ds._parent
         n = len(parent)
-        if hid >= n:
+        if hid == n:
+            # Heap ids are dense and increasing: the common case appends.
+            parent.append(hid)
+            ds._rank.append(0)
+        elif hid > n:
             parent[n:] = range(n, hid + 1)
             ds._rank[n:] = [0] * (hid + 1 - n)
         else:
@@ -177,8 +187,8 @@ class EquiliveManager:
         # Remove both from their frame lists, reattach winner to the target.
         del winner.frame.cg_blocks[winner]
         del loser.frame.cg_blocks[loser]
+        # ``winner`` is already registered under ``root``; drop the loser.
         del self._blocks[ra if root == rb else rb]
-        self._blocks[root] = winner
         # Static causes survive a merge: if either side was pinned the merged
         # block is pinned, preferring the side that was already static.
         if winner.static_cause is None and loser.static_cause is not None:
@@ -212,8 +222,13 @@ class EquiliveManager:
         Safe because the whole set is dismantled at once (see
         :meth:`repro.core.unionfind.DisjointSets.reset`).
         """
+        ds = self.ds
+        parent = ds._parent
+        rank = ds._rank
         for handle in block.members:
-            self.ds.reset(handle.id)
+            hid = handle.id
+            parent[hid] = hid
+            rank[hid] = 0
 
     def dismantle_all(self) -> List[EquiliveBlock]:
         """Tear down every block (start of a section 3.6 reset pass)."""

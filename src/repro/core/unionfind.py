@@ -53,29 +53,14 @@ class DisjointSets:
         """Extend the universe so that element ``x`` exists (as a singleton).
 
         Grows ``_parent``/``_rank`` with one slice assignment each rather
-        than a ``make_set`` call per missing element — the collector calls
-        this on every allocation, so the per-call cost matters.
+        than a ``make_set`` call per missing element.  (The collector does
+        not call this: :meth:`repro.core.equilive.EquiliveManager.create`
+        grows the forest inline, one ``append`` per allocation.)
         """
         n = len(self._parent)
         if x >= n:
             self._parent[n:] = range(n, x + 1)
             self._rank[n:] = [0] * (x + 1 - n)
-
-    def ensure_singleton(self, x: int) -> None:
-        """``ensure(x)`` followed by ``reset(x)`` in one call.
-
-        The collector performs exactly this pair on every allocation (the
-        universe must contain the new handle id, and it must start as a
-        fresh singleton even when the id slot already existed); fusing them
-        halves the call overhead on the hottest CG path.
-        """
-        n = len(self._parent)
-        if x >= n:
-            self._parent[n:] = range(n, x + 1)
-            self._rank[n:] = [0] * (x + 1 - n)
-        else:
-            self._parent[x] = x
-            self._rank[x] = 0
 
     def reset(self, x: int) -> None:
         """Detach ``x`` into a fresh singleton set.

@@ -540,6 +540,38 @@ class Heap:
         handle.fields = None
         handle.elements = None
 
+    def free_all(self, handles, freed_by: str, release: bool = True) -> None:
+        """:meth:`retire` every handle in ``handles``, in order, and (unless
+        ``release`` is false) return its storage to the free list, without
+        a :meth:`retire` or :meth:`free` call per handle.
+
+        The CG collector frees a popped frame's blocks through here, one
+        call per block.  Frees reach the allocator one handle at a time in
+        list order, because the next-fit hint (and so
+        ``alloc_search_steps``) depends on that order.  The tracing
+        collectors keep calling :meth:`free` per handle: routing it
+        through this loop measured slower on their sweep path.
+        """
+        registry = self._handles
+        fl_free = self.free_list.free
+        words = 0
+        try:
+            for handle in handles:
+                if handle.freed:
+                    raise VMError(f"double free of {handle!r} by {freed_by}")
+                handle.freed = True
+                handle.freed_by = freed_by
+                size = handle.size
+                words += size
+                del registry[handle.id]
+                handle.fields = None
+                handle.elements = None
+                if release:
+                    fl_free(handle.addr, size)
+        finally:
+            self.live_words -= words
+            self.bytes_freed += words
+
     def adopt_storage(self, old: Handle, cls: JClass, alloc_thread: int,
                       birth_frame_id: int, birth_depth: int,
                       length: Optional[int] = None) -> Handle:

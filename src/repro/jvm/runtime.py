@@ -25,6 +25,7 @@ from typing import Dict, Iterator, List, Optional, Union
 from time import perf_counter
 
 from ..core.policy import CGPolicy
+from ..core.stats import CAUSE_SHARED
 from ..faults import CrashDump, FaultPlan, did_you_mean
 from ..obs.events import NULL_TRACER
 from ..obs.profile import NULL_PROFILER, PHASE_MSA, PhaseProfiler
@@ -486,20 +487,29 @@ class Runtime:
     def store_field(self, container: Handle, name: str, value: object,
                     thread: JThread) -> None:
         collector = self.collector
-        if collector is not None:
-            collector.on_access(container, thread.thread_id)
-        else:
+        # Inline of ``collector.on_access`` on the container and the value:
+        # the same no-action test compiledcode's ``_access_guard`` emits.
+        if collector is None:
             container.check_live()
+        else:
+            tid = thread.thread_id
+            if container.freed or (container.pinned_cause is None
+                                   and container.alloc_thread != tid):
+                container.check_live()
+                collector.pin_static(container, CAUSE_SHARED)
         fields = container.fields
         if fields is None or name not in fields:
             raise VMError(f"no field {name!r} on {container.cls.name}")
         fields[name] = value
         if isinstance(value, Handle):
-            if collector is not None:
-                collector.on_access(value, thread.thread_id)
-                collector.on_store(container, value)
-            else:
+            if collector is None:
                 value.check_live()
+            else:
+                if value.freed or (value.pinned_cause is None
+                                   and value.alloc_thread != tid):
+                    value.check_live()
+                    collector.pin_static(value, CAUSE_SHARED)
+                collector.on_store(container, value)
             barrier = self._write_barrier_fn
             if barrier is not None:
                 barrier(container, value)
@@ -515,7 +525,16 @@ class Runtime:
     def store_element(self, array: Handle, index: int, value: object,
                       thread: JThread) -> None:
         """``aastore``: arrays contaminate like any other object (section 3.1.1)."""
-        self.access(array, thread)
+        collector = self.collector
+        # Inline of ``collector.on_access``, as in :meth:`store_field`.
+        if collector is None:
+            array.check_live()
+        else:
+            tid = thread.thread_id
+            if array.freed or (array.pinned_cause is None
+                               and array.alloc_thread != tid):
+                array.check_live()
+                collector.pin_static(array, CAUSE_SHARED)
         elements = array.elements
         if elements is None:
             raise VMError(f"aastore into non-array {array.cls.name}")
@@ -524,13 +543,15 @@ class Runtime:
 
             raise ArrayIndexError(f"index {index} out of [0, {len(elements)})")
         elements[index] = value
-        collector = self.collector
         if isinstance(value, Handle):
-            if collector is not None:
-                collector.on_access(value, thread.thread_id)
-                collector.on_store(array, value)
-            else:
+            if collector is None:
                 value.check_live()
+            else:
+                if value.freed or (value.pinned_cause is None
+                                   and value.alloc_thread != tid):
+                    value.check_live()
+                    collector.pin_static(value, CAUSE_SHARED)
+                collector.on_store(array, value)
             barrier = self._write_barrier_fn
             if barrier is not None:
                 barrier(array, value)
@@ -565,14 +586,12 @@ class Runtime:
 
     def return_reference(self, value: Handle, thread: JThread) -> None:
         """``areturn``: promote the block to the caller's frame."""
-        if self.collector is not None:
-            caller = thread.stack.caller
-            self.collector.on_areturn(value, caller)
-
-    def _write_barrier(self, container: Handle, value: Handle) -> None:
-        barrier = self._write_barrier_fn
-        if barrier is not None:
-            barrier(container, value)
+        collector = self.collector
+        if collector is not None:
+            frames = thread.stack.frames
+            collector.on_areturn(
+                value, frames[-2] if len(frames) >= 2 else None
+            )
 
     # ------------------------------------------------------------------
     # Periodic GC trigger (Fig. 4.11 protocol)

@@ -10,6 +10,7 @@ from repro.core.stats import (
     CAUSE_ROOTLESS,
     CAUSE_SHARED,
 )
+from repro.jvm.errors import IllegalStateError
 from tests.conftest import assert_clean, make_runtime
 
 
@@ -173,6 +174,20 @@ class TestAreturn:
             assert block.is_static
             m.consume_from_caller(h)
 
+    def test_areturn_to_another_threads_frame_is_rejected(self, rt, m):
+        # Frame age is undefined across threads; such a block should have
+        # been pinned static first (section 3.3).
+        other = rt.new_thread("t1")
+        with m.frame():
+            h = m.new("Node")
+            rt.push_frame(other)
+            caller = rt.push_frame(other)
+            with pytest.raises(IllegalStateError, match="across threads"):
+                rt.collector.on_areturn(h, caller)
+            rt.pop_frame(other)
+            rt.pop_frame(other)
+            m.drop(h)
+
 
 class TestThreadSharing:
     def test_second_thread_access_pins(self, rt, m):
@@ -301,6 +316,51 @@ class TestFramePop:
         # The pop must free only a, skipping b (already dead).
         assert rt.collector.stats.objects_popped == 1
         assert rt.collector.stats.collected_by_msa == 1
+        assert_clean(rt)
+
+    def test_pop_frees_in_block_order_then_member_order(self, rt, m,
+                                                        monkeypatch):
+        # The next-fit allocator's hint makes alloc_search_steps depend on
+        # the order storage comes back, so that order is pinned here.
+        freed_addrs = []
+        with m.frame() as frame:
+            lone = m.new("Node")
+            m.root(lone)
+            a, b, c = m.new("Node"), m.new("Node"), m.new("Node")
+            m.putfield(a, "next", b)
+            m.putfield(c, "next", a)  # merged block of three
+            m.root(c)
+            lone2 = m.new("Node")
+            m.root(lone2)
+            with m.frame():
+                r, q = m.new("Node"), m.new("Node")
+                m.putfield(r, "next", q)
+                m.areturn(r)  # promoted into the outer frame
+            m.consume_from_caller(r)
+            m.root(r)
+            x, y = m.new("Node"), m.new("Node")
+            m.putfield(x, "next", y)
+            m.root(x)
+            m.putfield(x, "next", None)
+            rt.run_gc()  # y is unreachable: MSA frees it, CG keeps it listed
+            assert y.freed_by == "mark-sweep" and not x.freed
+
+            blocks = list(frame.cg_blocks)
+            assert [set(bl.members) for bl in blocks] == [
+                {lone}, {a, b, c}, {lone2}, {r, q}, {x, y},
+            ]
+            expected = [h.addr for bl in blocks for h in bl.members
+                        if not h.freed]
+            assert len(expected) == 8
+            real_free = rt.heap.free_list.free
+
+            def recording_free(addr, size):
+                freed_addrs.append(addr)
+                real_free(addr, size)
+
+            monkeypatch.setattr(rt.heap.free_list, "free", recording_free)
+        assert freed_addrs == expected
+        assert rt.collector.stats.objects_popped == 8
         assert_clean(rt)
 
     def test_block_size_histogram(self, rt, m):

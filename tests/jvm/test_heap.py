@@ -209,6 +209,24 @@ class TestHeapFreeAndAccounting:
         heap.release_recycled(h)
         heap.check_accounting()
 
+    def test_free_all_matches_per_handle_free_and_retire(self):
+        heap, prog = make_heap()
+        node = prog.define_class("N", fields=["x"])
+        hs = [heap.allocate(node, 0, 1, 0) for _ in range(4)]
+        heap.free_all(hs[:2], "cg")
+        heap.free_all(hs[2:], "cg", release=False)  # parked, as recycling does
+        assert all(h.freed and h.freed_by == "cg" and h.fields is None
+                   for h in hs)
+        assert heap.live_count() == 0 and heap.live_words == 0
+        heap.check_accounting(recycled_words=sum(h.size for h in hs[2:]))
+        # A double free raises, with the accounting of the handles freed
+        # before it still consistent.
+        a, b = heap.allocate(node, 0, 1, 0), heap.allocate(node, 0, 1, 0)
+        with pytest.raises(VMError, match="double free"):
+            heap.free_all([a, hs[0], b], "cg")
+        assert a.freed and not b.freed
+        heap.check_accounting(recycled_words=sum(h.size for h in hs[2:]))
+
     def test_accounting_detects_leak(self):
         heap, prog = make_heap()
         node = prog.define_class("N", fields=["x"])
