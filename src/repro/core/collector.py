@@ -142,9 +142,9 @@ class ContaminatedCollector:
     def on_store(self, container: Handle, value: Optional[Handle]) -> None:
         """``putfield``/``aastore``: symmetric contamination (chapter 2).
 
-        Both blocks are resolved with the inline find of
-        :meth:`EquiliveManager.block_of` (one counted find each, the same
-        errors for untracked or freed handles).
+        Both blocks are read from the handles' back-pointers (one counted
+        find each, the same error as :meth:`EquiliveManager.block_of` for
+        an untracked or freed handle).
         """
         self.stats.store_events += 1
         if value is None:
@@ -153,43 +153,13 @@ class ContaminatedCollector:
             container.check_live()
         if value.freed:
             value.check_live()
-        equilive = self.equilive
-        ds = equilive.ds
-        parent = ds._parent
-        n = len(parent)
-        cid = container.id
-        vid = value.id
-        if not 0 <= cid < n:
+        self.equilive.finds += 2
+        bc = container.block
+        bv = value.block
+        if bc is None or bv is None:
+            missing = container if bc is None else value
             raise IllegalStateError(
-                f"object #{cid} has no equilive block (never tracked)"
-            )
-        ds.finds += 1
-        rc = cid
-        while parent[rc] != rc:
-            rc = parent[rc]
-        while parent[cid] != rc:
-            parent[cid], cid = rc, parent[cid]
-        registry = equilive._blocks
-        bc = registry.get(rc)
-        if bc is None:
-            raise IllegalStateError(
-                f"object #{container.id} has no equilive block "
-                "(freed or untracked)"
-            )
-        if not 0 <= vid < n:
-            raise IllegalStateError(
-                f"object #{vid} has no equilive block (never tracked)"
-            )
-        ds.finds += 1
-        rv = vid
-        while parent[rv] != rv:
-            rv = parent[rv]
-        while parent[vid] != rv:
-            parent[vid], vid = rv, parent[vid]
-        bv = registry.get(rv)
-        if bv is None:
-            raise IllegalStateError(
-                f"object #{value.id} has no equilive block "
+                f"object #{missing.id} has no equilive block "
                 "(freed or untracked)"
             )
         if bc is bv:
@@ -223,9 +193,9 @@ class ContaminatedCollector:
         block = self.equilive.block_of(value)
         if block.static_cause is not None:
             return
-        # Inline of ``caller.is_older_than(block.frame)``.  A collectible
-        # block hangs off a real frame, so only the caller can be frame 0
-        # (depth -1, older than everything).
+        # The caller is older when it is shallower.  A collectible block
+        # hangs off a real frame, so only the caller can be frame 0 (depth
+        # -1, older than everything).
         frame = block.frame
         if caller.depth >= 0 and caller.thread_id != frame.thread_id:
             raise IllegalStateError(
@@ -261,11 +231,11 @@ class ContaminatedCollector:
 
         Returns the number of objects reclaimed.  With recycling enabled the
         dead objects are parked for reuse instead of freed (section 3.7).
-        One walk of the frame's block list: per block, one counted find for
-        its representative, one registry delete, an inline reset of its
-        members' union-find slots, and one :meth:`Heap.free_all` call for
-        its live members.  Frees follow ``cg_blocks`` order, then member
-        order (DESIGN.md section 6, invariant 7).
+        One walk of the frame's block list: per block, one counted find, one
+        registry delete, its members' back-pointers cleared, and one
+        :meth:`Heap.free_all` call for its live members.  Frees follow
+        ``cg_blocks`` order, then member order (DESIGN.md section 6,
+        invariant 7).
         """
         stats = self.stats
         stats.frame_pops += 1
@@ -282,26 +252,17 @@ class ContaminatedCollector:
         probe = self.reachability_probe if self.policy.paranoid else None
         trace = self._trace
         equilive = self.equilive
-        ds = equilive.ds
-        parent = ds._parent
-        rank = ds._rank
         registry = equilive._blocks
         free_all = self.heap.free_all
         size_hist = stats.block_size_hist
         depth = frame.depth
-        ds.finds += len(blocks)
+        equilive.finds += len(blocks)
         popped = []
         for block in blocks:
-            members = block.members
-            root = members[0].id
-            while parent[root] != root:
-                root = parent[root]
-            del registry[root]
+            del registry[block]
             live = []
-            for handle in members:
-                hid = handle.id
-                parent[hid] = hid
-                rank[hid] = 0
+            for handle in block.members:
+                handle.block = None
                 if not handle.freed:
                     live.append(handle)
             if not live:
@@ -515,8 +476,8 @@ class ContaminatedCollector:
             bb.static_cause = CAUSE_SHARED
             target = self.static_frame
         else:
-            # Inline of ``ba.frame.is_older_than(bb.frame)``: both frames
-            # are real and on one thread here.
+            # Both frames are real and on one thread here: the shallower
+            # one is older.
             target = ba.frame if ba.frame.depth < bb.frame.depth else bb.frame
         if self._trace:
             self.tracer.emit(

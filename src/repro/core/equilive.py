@@ -3,18 +3,25 @@
 An *equilive block* is one class of the equilive equivalence relation
 (thesis section 2.2): a set of objects treated as having the same lifetime,
 dependent on a single stack frame.  Blocks live on their dependent frame's
-``cg_blocks`` list (section 3.1.2) and are merged by union-find when objects
-contaminate each other.
+``cg_blocks`` list (section 3.1.2) and are merged when objects contaminate
+each other.
 
-Representation: :class:`EquiliveBlock` is the payload hanging off a
-union-find root.  ``members`` uses lazy deletion — an object reclaimed out of
-band (by the tracing collector) just stays in the list with its ``freed``
-flag set and is skipped when the block is collected — so nothing is ever
-removed from the middle of a list.  Where the paper's implementation splices
-linked lists in O(1), a merge here copies the smaller member list onto the
-larger one (``list.extend``): an object is copied only when its list at
-least doubles, so the cost is O(log n) amortised per member.  A frame's
-``cg_blocks`` is a dict used as an insertion-ordered set.
+Representation: the linked-list form of disjoint sets (CLRS section 21.2).
+Each :class:`EquiliveBlock` owns an explicit ``members`` list and every
+member's :attr:`Handle.block <repro.jvm.heap.Handle.block>` points back at
+it, so a find is one attribute read.  A merge copies the shorter member
+list onto the longer one (``list.extend``) and re-points only the copied
+handles: an object is copied only when its list at least doubles, so the
+cost is O(log n) amortised per member.  Union by rank is kept as
+:attr:`EquiliveBlock.rank` (section 3.5's bound), and the paper's
+operations are still counted: :attr:`EquiliveManager.finds` and
+:attr:`EquiliveManager.unions`.
+
+``members`` uses lazy deletion — an object reclaimed out of band (by the
+tracing collector) just stays in the list with its ``freed`` flag set and
+is skipped when the block is collected — so nothing is ever removed from
+the middle of a list.  The block registry and a frame's ``cg_blocks`` are
+dicts used as insertion-ordered sets.
 """
 
 from __future__ import annotations
@@ -24,13 +31,12 @@ from typing import Dict, Iterator, List, Optional
 from ..jvm.errors import IllegalStateError
 from ..jvm.frames import Frame, StaticFrame
 from ..jvm.heap import Handle
-from .unionfind import DisjointSets
 
 
 class EquiliveBlock:
     """One equilive set: members, dependent frame, and pin bookkeeping."""
 
-    __slots__ = ("members", "frame", "static_cause", "ever_unioned")
+    __slots__ = ("members", "frame", "static_cause", "ever_unioned", "rank")
 
     def __init__(self, handle: Handle, frame: Frame) -> None:
         self.members: List[Handle] = [handle]
@@ -38,6 +44,8 @@ class EquiliveBlock:
         #: None while collectible; otherwise the cause that pinned it static.
         self.static_cause: Optional[str] = None
         self.ever_unioned = False
+        #: Union-by-rank rank; ``len(members) >= 2 ** rank`` always holds.
+        self.rank = 0
 
     @property
     def is_static(self) -> bool:
@@ -57,20 +65,26 @@ class EquiliveBlock:
 
 
 class EquiliveManager:
-    """Union-find over handles plus block payloads and frame lists.
+    """Blocks, their members' back-pointers, and the frame lists.
 
     This layer is policy-free: it knows how to create, look up, merge, move,
     and dismantle blocks, and it maintains the invariant that every block is
     on exactly one frame list (the static frame's list for pinned blocks).
     The :class:`~repro.core.collector.ContaminatedCollector` applies the
     paper's rules on top.
+
+    Attributes:
+        finds: union-find finds charged (one per block lookup; a merge
+            charges 4, as a find on each side plus a union's own two).
+        unions: merges performed.
     """
 
     def __init__(self, static_frame: StaticFrame) -> None:
-        self.ds = DisjointSets()
         self.static_frame = static_frame
-        #: union-find root id -> block payload.
-        self._blocks: Dict[int, EquiliveBlock] = {}
+        self.finds = 0
+        self.unions = 0
+        #: Every live block, as an insertion-ordered set.
+        self._blocks: Dict[EquiliveBlock, None] = {}
 
     # ------------------------------------------------------------------
     # Creation / lookup
@@ -79,60 +93,30 @@ class EquiliveManager:
     def create(self, handle: Handle, frame: Frame) -> EquiliveBlock:
         """Make a fresh singleton block for a newly allocated object.
 
-        The only place a handle gets its union-find slot and its block
-        (allocation and the section 3.6 reset pass both come through here).
+        The only place a handle gets its block (allocation and the section
+        3.6 reset pass both come through here).
         """
-        hid = handle.id
-        ds = self.ds
-        parent = ds._parent
-        n = len(parent)
-        if hid == n:
-            # Heap ids are dense and increasing: the common case appends.
-            parent.append(hid)
-            ds._rank.append(0)
-        elif hid > n:
-            parent[n:] = range(n, hid + 1)
-            ds._rank[n:] = [0] * (hid + 1 - n)
-        else:
-            parent[hid] = hid
-            ds._rank[hid] = 0
         block = EquiliveBlock(handle, frame)
-        self._blocks[hid] = block
+        handle.block = block
+        self._blocks[block] = None
         frame.cg_blocks[block] = None
         return block
 
     def block_of(self, handle: Handle) -> EquiliveBlock:
-        ds = self.ds
-        hid = handle.id
-        # Inline of ``hid in ds``: this runs twice per store event.
-        if not 0 <= hid < len(ds._parent):
+        self.finds += 1
+        block = handle.block
+        if block is None:
             raise IllegalStateError(
-                f"object #{hid} has no equilive block (never tracked)"
+                f"object #{handle.id} has no equilive block (freed or untracked)"
             )
-        # Inline of ds.find() (same counter discipline): saves a call on
-        # the path every contamination event takes twice.
-        ds.finds += 1
-        parent = ds._parent
-        root = hid
-        while parent[root] != root:
-            root = parent[root]
-        node = hid
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        try:
-            return self._blocks[root]
-        except KeyError:
-            raise IllegalStateError(
-                f"object #{hid} has no equilive block (freed or untracked)"
-            ) from None
+        return block
 
     def has_block(self, handle: Handle) -> bool:
-        if handle.id not in self.ds:
-            return False
-        return self.ds.find(handle.id) in self._blocks
+        self.finds += 1
+        return handle.block is not None
 
     def blocks(self) -> Iterator[EquiliveBlock]:
-        return iter(self._blocks.values())
+        return iter(self._blocks)
 
     def block_count(self) -> int:
         return len(self._blocks)
@@ -146,56 +130,38 @@ class EquiliveManager:
         """Union two distinct blocks; the result depends on ``target_frame``.
 
         The caller computes ``target_frame`` per the paper's rules (older of
-        the two dependent frames, or the static frame).  Member lists are
-        spliced smaller-into-larger.
+        the two dependent frames, or the static frame).  Union by rank sets
+        the merged rank, and the rank winner's static cause wins when both
+        sides have one.  The block with the longer member list survives (the
+        rank winner on a tie) and keeps its members first, so only the
+        shorter list's handles are re-pointed.
         """
         if a is b:
             raise IllegalStateError("merge of a block with itself")
-        ds = self.ds
-        parent = ds._parent
-        # Inline of ds.find() on both representatives plus ds.union() — the
-        # counter discipline is preserved exactly: two finds here, and union
-        # itself charges two more (its root lookups, instant on roots).
-        ds.finds += 2
-        x = a.members[0].id
-        ra = x
-        while parent[ra] != ra:
-            ra = parent[ra]
-        while parent[x] != ra:
-            parent[x], x = ra, parent[x]
-        y = b.members[0].id
-        rb = y
-        while parent[rb] != rb:
-            rb = parent[rb]
-        while parent[y] != rb:
-            parent[y], y = rb, parent[y]
-        ds.finds += 2
-        ds.unions += 1
-        rank = ds._rank
-        root, loser_root = ra, rb
-        if rank[root] < rank[loser_root]:
-            root, loser_root = loser_root, root
-        parent[loser_root] = root
-        if rank[root] == rank[loser_root]:
-            rank[root] += 1
-        winner, loser = (a, b) if root == ra else (b, a)
-        # Splice the smaller member list into the larger one.
-        if len(winner.members) < len(loser.members):
-            winner.members, loser.members = loser.members, winner.members
-        winner.members.extend(loser.members)
-        winner.ever_unioned = True
-        # Remove both from their frame lists, reattach winner to the target.
-        del winner.frame.cg_blocks[winner]
-        del loser.frame.cg_blocks[loser]
-        # ``winner`` is already registered under ``root``; drop the loser.
-        del self._blocks[ra if root == rb else rb]
-        # Static causes survive a merge: if either side was pinned the merged
-        # block is pinned, preferring the side that was already static.
-        if winner.static_cause is None and loser.static_cause is not None:
-            winner.static_cause = loser.static_cause
-        winner.frame = target_frame
-        target_frame.cg_blocks[winner] = None
-        return winner
+        self.finds += 4
+        self.unions += 1
+        winner, loser = (a, b) if a.rank >= b.rank else (b, a)
+        rank = winner.rank + 1 if winner.rank == loser.rank else winner.rank
+        cause = winner.static_cause
+        if cause is None:
+            cause = loser.static_cause
+        if len(loser.members) > len(winner.members):
+            survivor, absorbed = loser, winner
+        else:
+            survivor, absorbed = winner, loser
+        moved = absorbed.members
+        for handle in moved:
+            handle.block = survivor
+        survivor.members.extend(moved)
+        del survivor.frame.cg_blocks[survivor]
+        del absorbed.frame.cg_blocks[absorbed]
+        del self._blocks[absorbed]
+        survivor.rank = rank
+        survivor.static_cause = cause
+        survivor.ever_unioned = True
+        survivor.frame = target_frame
+        target_frame.cg_blocks[survivor] = None
+        return survivor
 
     def move_to_frame(self, block: EquiliveBlock, frame: Frame) -> None:
         """Re-hang ``block`` on a different frame's list (areturn, pinning)."""
@@ -212,27 +178,18 @@ class EquiliveManager:
 
     def detach(self, block: EquiliveBlock) -> None:
         """Remove a block entirely (its objects are being collected)."""
+        self.finds += 1
         del block.frame.cg_blocks[block]
-        root = self.ds.find(block.members[0].id)
-        del self._blocks[root]
+        del self._blocks[block]
 
     def forget_members(self, block: EquiliveBlock) -> None:
-        """Reset union-find state for all members of a detached block.
-
-        Safe because the whole set is dismantled at once (see
-        :meth:`repro.core.unionfind.DisjointSets.reset`).
-        """
-        ds = self.ds
-        parent = ds._parent
-        rank = ds._rank
+        """Clear the back-pointers of a detached block's members."""
         for handle in block.members:
-            hid = handle.id
-            parent[hid] = hid
-            rank[hid] = 0
+            handle.block = None
 
     def dismantle_all(self) -> List[EquiliveBlock]:
         """Tear down every block (start of a section 3.6 reset pass)."""
-        blocks = list(self._blocks.values())
+        blocks = list(self._blocks)
         for block in blocks:
             del block.frame.cg_blocks[block]
             self.forget_members(block)
@@ -240,7 +197,8 @@ class EquiliveManager:
         return blocks
 
     # ------------------------------------------------------------------
-    # Validation (used by tests; invariant 4 of DESIGN.md)
+    # Validation (tests, and the end of every measured run; invariants 3
+    # and 4 of DESIGN.md)
     # ------------------------------------------------------------------
 
     def check_invariants(self, frames: List[Frame]) -> None:
@@ -252,15 +210,21 @@ class EquiliveManager:
                 seen[block] = frame
                 if block.frame is not frame:
                     raise IllegalStateError(f"{block!r} frame pointer stale")
-        registered = set(self._blocks.values())
-        if registered != set(seen):
+        if self._blocks.keys() != seen.keys():
             raise IllegalStateError(
                 "block registry and frame lists disagree: "
-                f"{len(registered)} registered vs {len(seen)} listed"
+                f"{len(self._blocks)} registered vs {len(seen)} listed"
             )
-        for root, block in self._blocks.items():
+        for block in self._blocks:
+            if len(block.members) < 1 << block.rank:
+                raise IllegalStateError(
+                    f"{block!r} has rank {block.rank} but "
+                    f"{len(block.members)} members"
+                )
             for handle in block.live_members():
-                if self.ds.find(handle.id) != root:
+                # Each pointer check is a counted find, as every lookup is.
+                self.finds += 1
+                if handle.block is not block:
                     raise IllegalStateError(
-                        f"member #{handle.id} not in its block's set"
+                        f"member #{handle.id} points at another block"
                     )

@@ -13,9 +13,10 @@ exactly those quantities:
   cache — the paper's stated reason CG wins);
 * sweep visits, free-list frees and allocation search steps cost their own
   (cheaper) units;
-* CG maintenance: union-find finds/unions, store/areturn event handling,
-  per-block pop splices, the wider handle initialisation at allocation, and
-  recycle-list search steps.
+* CG maintenance: the paper's union-find finds/unions (counted by the
+  equilive manager, whose blocks are member lists with back-pointers),
+  store/areturn event handling, per-block pop splices, the wider handle
+  initialisation at allocation, and recycle-list search steps.
 
 The output is "simulated milliseconds" — meaningless absolutely, meaningful
 as ratios, which is how every timing figure in the paper is read (its
@@ -86,13 +87,13 @@ def cost_of(runtime: "Runtime") -> CostBreakdown:
     cg = 0.0
     collector = runtime.collector
     if collector is not None:
-        ds = collector.equilive.ds
+        equilive = collector.equilive
         stats = collector.stats
         # Handle-width scaling: the 16-word handle costs its full unit, the
         # squeezed 8-word handle half (section 3.5's stated benefit).
         handle_factor = runtime.heap.handle_words / 16.0
         cg = (
-            W_UF * (ds.finds + ds.unions)
+            W_UF * (equilive.finds + equilive.unions)
             + W_CG_EVENT
             * (stats.store_events + stats.areturn_events + stats.putstatic_events)
             + W_CG_POP * (stats.blocks_collected + stats.frame_pops)

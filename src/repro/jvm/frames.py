@@ -66,23 +66,6 @@ class Frame:
     def is_static_frame(self) -> bool:
         return self.depth < 0
 
-    def is_older_than(self, other: "Frame") -> bool:
-        """True when this frame pops strictly after ``other``.
-
-        Only meaningful for two frames of the same thread or when one side is
-        the static frame; the collector pins cross-thread blocks static
-        before any such comparison would be needed (section 3.3).
-        """
-        if self.is_static_frame:
-            return not other.is_static_frame
-        if other.is_static_frame:
-            return False
-        if self.thread_id != other.thread_id:
-            raise IllegalStateError(
-                "frame age comparison across threads (block should be static)"
-            )
-        return self.depth < other.depth
-
     def root_references(self) -> List[Handle]:
         """Live references held by this frame (locals + operand stack)."""
         refs = [v for v in self.locals if isinstance(v, Handle)]
@@ -135,10 +118,6 @@ class CallStack:
         if not self.frames:
             raise IllegalStateError("no active frame on this thread")
         return self.frames[-1]
-
-    @property
-    def caller(self) -> Optional[Frame]:
-        return self.frames[-2] if len(self.frames) >= 2 else None
 
     def push(self, method: Optional[JMethod], nlocals: int = 0) -> Frame:
         frame = Frame(

@@ -7,8 +7,9 @@ method-table reference, so relocation only updates the handle (thesis section
 
 * :class:`Handle` — the per-object record.  Its Python attributes stand in
   for the extra words the CG implementation added to the 2-word JDK handle
-  (union-find parent/rank, equilive list links, frame back-pointer, owning
-  thread, unique id, birth depth — thesis section 3.1.1).  The configured
+  (thesis section 3.1.1): union-find parent/rank, equilive list links and
+  frame back-pointer are here one ``block`` pointer to the object's equilive
+  block; owning thread, unique id and birth depth are fields.  The configured
   *accounted* handle width (2, 8, or 16 words, section 3.5) is charged
   against a separate handle region sized as a multiple of the base split.
 
@@ -65,7 +66,7 @@ class Handle:
         "alloc_thread",
         "birth_frame_id",
         "birth_depth",
-        "shared",
+        "block",
         "pinned_cause",
         "mark",
         "pyvalue",
@@ -97,7 +98,7 @@ class Handle:
         self.alloc_thread = alloc_thread
         self.birth_frame_id = birth_frame_id
         self.birth_depth = birth_depth
-        self.shared = False
+        self.block = None  # CG's equilive block (see core.equilive)
         self.pinned_cause = None  # static-pin cause stamp (see core.stats)
         self.mark = False
         # Interpreter-internal payload (used by java/lang/String).

@@ -5,8 +5,8 @@ Before this module every consumer read raw attributes from three places —
 ``tracing.work`` (a ``GCWork``) — and each figure generator, benchmark, and
 ``BENCH_*.json`` row did its own ad-hoc aggregation.  The registry is the
 single source of truth: ``collect_runtime_metrics`` folds all three (plus
-union-find work, recycle-list state, and phase-profile samples) into typed
-namespaced metrics:
+the equilive manager's union-find finds/unions, recycle-list state, and
+phase-profile samples) into typed namespaced metrics:
 
 * **counters** — monotone totals (``cg.objects_popped``, ``gc.mark_visits``)
 * **gauges** — instantaneous levels (``heap.live_words``, ``heap.occupancy``)
@@ -179,9 +179,8 @@ def collect_runtime_metrics(
                 reg.merge_histogram(f"cg.{fld.name}", value)
             else:
                 reg.set_counter(f"cg.{fld.name}", value)
-        ds = collector.equilive.ds
-        reg.set_counter("cg.uf_finds", ds.finds)
-        reg.set_counter("cg.uf_unions", ds.unions)
+        reg.set_counter("cg.uf_finds", collector.equilive.finds)
+        reg.set_counter("cg.uf_unions", collector.equilive.unions)
         reg.set_gauge("cg.blocks_live", collector.equilive.block_count())
         reg.set_gauge("cg.recycle_parked_words", collector.recycle.parked_words)
         reg.set_gauge("cg.recycle_parked_objects", len(collector.recycle))

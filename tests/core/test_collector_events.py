@@ -157,6 +157,20 @@ class TestAreturn:
                 assert rt.collector.equilive.block_of(a).frame is a_frame
                 m.consume_from_caller(a)
 
+    def test_areturn_to_the_blocks_own_frame_leaves_it(self, rt, m):
+        with m.frame() as outer:
+            h = m.new("Node")
+            m.set_local(0, h)
+            block = rt.collector.equilive.block_of(h)
+            with m.frame():
+                # The caller is the block's own frame: neither older nor
+                # younger, so nothing moves.
+                m.areturn(h)
+            assert block.frame is outer
+            assert list(outer.cg_blocks) == [block]
+            m.consume_from_caller(h)
+        assert h.freed
+
     def test_areturn_off_thread_bottom_pins_rootless(self, rt, m):
         with m.frame():
             h = m.new("Node")

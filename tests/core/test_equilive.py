@@ -102,6 +102,27 @@ class TestMerge:
         assert fx.manager.block_count() == 1
         fx.manager.check_invariants(fx.all_frames())
 
+    def test_merge_keeps_longer_list_and_repoints_shorter(self, fx):
+        m = fx.manager
+        h = [fx.new_handle() for _ in range(5)]
+        b = [m.create(x, fx.frames[0]) for x in h]
+        pair = m.merge(b[0], b[1], fx.frames[0])
+        triple = m.merge(m.merge(b[2], b[3], fx.frames[0]), b[4],
+                         fx.frames[0])
+        assert (pair.rank, triple.rank) == (1, 1)
+        m.pin_static(pair, "putstatic")
+        m.pin_static(triple, "shared")
+        # Equal ranks: ``pair`` (the first argument) wins by rank, so the
+        # rank grows and its static cause is kept, but ``triple`` owns the
+        # longer list, so it survives and only the pair's handles move.
+        merged = m.merge(pair, triple, fx.static_frame)
+        assert merged is triple
+        assert merged.rank == 2
+        assert merged.static_cause == "putstatic"
+        assert merged.members == [h[2], h[3], h[4], h[0], h[1]]
+        assert all(x.block is merged for x in h)
+        m.check_invariants(fx.all_frames())
+
     def test_merge_preserves_static_cause(self, fx):
         a, b = fx.new_handle(), fx.new_handle()
         ba = fx.manager.create(a, fx.frames[0])
@@ -158,6 +179,9 @@ class TestDetachAndDismantle:
         merged = fx.manager.merge(ba, bb, fx.frames[0])
         fx.manager.detach(merged)
         fx.manager.forget_members(merged)
+        assert a.block is None and b.block is None
+        with pytest.raises(IllegalStateError):
+            fx.manager.block_of(a)
         # Fresh singletons can now be created for both.
         na = fx.manager.create(a, fx.frames[1])
         nb = fx.manager.create(b, fx.frames[2])
@@ -173,6 +197,7 @@ class TestDetachAndDismantle:
         assert len(dismantled) == 4
         assert fx.manager.block_count() == 0
         assert all(not f.cg_blocks for f in fx.all_frames())
+        assert all(h.block is None for h in handles)
 
 
 class TestLiveMembers:
@@ -190,4 +215,18 @@ class TestLiveMembers:
         block = fx.manager.create(h, fx.frames[0])
         block.frame = fx.frames[1]  # corrupt deliberately
         with pytest.raises(IllegalStateError):
+            fx.manager.check_invariants(fx.all_frames())
+
+    def test_invariant_checker_catches_stale_handle_pointer(self, fx):
+        a, b = fx.new_handle(), fx.new_handle()
+        fx.manager.create(a, fx.frames[0])
+        other = fx.manager.create(b, fx.frames[0])
+        a.block = other  # corrupt deliberately
+        with pytest.raises(IllegalStateError, match="another block"):
+            fx.manager.check_invariants(fx.all_frames())
+
+    def test_invariant_checker_catches_rank_above_log_size(self, fx):
+        block = fx.manager.create(fx.new_handle(), fx.frames[0])
+        block.rank = 1  # a singleton cannot have rank 1
+        with pytest.raises(IllegalStateError, match="rank"):
             fx.manager.check_invariants(fx.all_frames())

@@ -1,175 +1,130 @@
-"""Unit tests for the union-find forest (thesis section 3.1.1)."""
+"""The paper's union-find operations on equilive blocks (section 3.1.1).
+
+Blocks are disjoint sets in linked-list form: a find is
+:meth:`EquiliveManager.block_of` (a read of the handle's ``block``
+pointer) and a union is :meth:`EquiliveManager.merge`, with union by rank
+kept on :attr:`EquiliveBlock.rank`.
+"""
 
 import pytest
 
-from repro.core.unionfind import DisjointSets
+from repro.core.equilive import EquiliveManager
+from repro.jvm.errors import IllegalStateError
+from repro.jvm.frames import FrameIdSource, StaticFrame
+from repro.jvm.heap import Heap
+from repro.jvm.model import Program
+from repro.jvm.threads import JThread
+
+
+class Sets:
+    """``n`` objects, each in a singleton block on one frame."""
+
+    def __init__(self):
+        thread = JThread(0, "t", FrameIdSource())
+        self.frame = thread.stack.push(None)
+        self.heap = Heap(1 << 16)
+        self.cls = Program().define_class("N", fields=["x"])
+        self.manager = EquiliveManager(StaticFrame())
+
+    def make(self, n):
+        handles = [self.heap.allocate(self.cls, 0, 1, 0) for _ in range(n)]
+        for h in handles:
+            self.manager.create(h, self.frame)
+        return handles
+
+    def union(self, x, y):
+        """Merge the blocks of ``x`` and ``y`` (as the reset pass does)."""
+        bx, by = self.manager.block_of(x), self.manager.block_of(y)
+        if bx is by:
+            return bx
+        return self.manager.merge(bx, by, self.frame)
+
+    def same_set(self, x, y):
+        return self.manager.block_of(x) is self.manager.block_of(y)
+
+
+@pytest.fixture
+def ds():
+    return Sets()
 
 
 class TestMakeSet:
-    def test_new_elements_are_their_own_roots(self):
-        ds = DisjointSets()
-        ids = [ds.make_set() for _ in range(5)]
-        assert ids == [0, 1, 2, 3, 4]
-        for x in ids:
-            assert ds.find(x) == x
+    def test_new_elements_are_their_own_roots(self, ds):
+        xs = ds.make(5)
+        for x in xs:
+            assert ds.manager.block_of(x).members == [x]
+            assert ds.manager.block_of(x).rank == 0
 
-    def test_len_counts_elements(self):
-        ds = DisjointSets()
-        assert len(ds) == 0
-        ds.make_set()
-        ds.make_set()
-        assert len(ds) == 2
+    def test_len_counts_elements(self, ds):
+        assert ds.manager.block_count() == 0
+        ds.make(2)
+        assert ds.manager.block_count() == 2
 
-    def test_contains(self):
-        ds = DisjointSets()
-        ds.make_set()
-        assert 0 in ds
-        assert 1 not in ds
-        assert -1 not in ds
-
-    def test_ensure_extends_universe(self):
-        ds = DisjointSets()
-        ds.ensure(7)
-        assert len(ds) == 8
-        assert all(ds.find(x) == x for x in range(8))
-
-    def test_ensure_is_idempotent(self):
-        ds = DisjointSets()
-        ds.ensure(3)
-        ds.union(0, 3)
-        ds.ensure(3)  # must not disturb existing sets
-        assert ds.same_set(0, 3)
+    def test_contains(self, ds):
+        (x,) = ds.make(1)
+        untracked = ds.heap.allocate(ds.cls, 0, 1, 0)
+        assert ds.manager.has_block(x)
+        assert not ds.manager.has_block(untracked)
 
 
 class TestUnionFind:
-    def test_union_merges(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        root = ds.union(a, b)
-        assert root in (a, b)
+    def test_union_merges(self, ds):
+        a, b = ds.make(2)
+        merged = ds.union(a, b)
+        assert merged in (ds.manager.block_of(a), ds.manager.block_of(b))
         assert ds.same_set(a, b)
+        assert a.block is b.block is merged
 
-    def test_union_returns_existing_root_when_already_merged(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        r1 = ds.union(a, b)
-        r2 = ds.union(a, b)
-        assert r1 == r2
-        assert ds.unions == 1  # second call was a no-op
+    def test_union_returns_existing_root_when_already_merged(self, ds):
+        a, b = ds.make(2)
+        first = ds.union(a, b)
+        assert ds.union(a, b) is first
+        assert ds.manager.unions == 1  # second call was a no-op
+        with pytest.raises(IllegalStateError):
+            ds.manager.merge(first, first, ds.frame)
 
-    def test_transitivity(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(10)]
+    def test_transitivity(self, ds):
+        xs = ds.make(10)
         for a, b in zip(xs, xs[1:]):
             ds.union(a, b)
         assert all(ds.same_set(xs[0], x) for x in xs)
 
-    def test_disjoint_sets_stay_disjoint(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(6)]
+    def test_disjoint_sets_stay_disjoint(self, ds):
+        xs = ds.make(6)
         ds.union(xs[0], xs[1])
         ds.union(xs[2], xs[3])
         assert not ds.same_set(xs[0], xs[2])
         assert not ds.same_set(xs[1], xs[4])
 
-    def test_union_by_rank_bounds_rank_logarithmically(self):
-        ds = DisjointSets()
-        n = 256
-        xs = [ds.make_set() for _ in range(n)]
+    def test_union_by_rank_bounds_rank_logarithmically(self, ds):
+        xs = ds.make(256)
         # Balanced pairwise merging maximises rank growth.
         layer = xs
         while len(layer) > 1:
             nxt = []
             for i in range(0, len(layer) - 1, 2):
-                nxt.append(ds.union(layer[i], layer[i + 1]))
+                ds.union(layer[i], layer[i + 1])
+                nxt.append(layer[i])
             if len(layer) % 2:
                 nxt.append(layer[-1])
             layer = nxt
-        assert ds.rank_of(xs[0]) <= 8  # log2(256)
-
-    def test_path_compression_flattens(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(50)]
-        for a, b in zip(xs, xs[1:]):
-            ds.union(a, b)
-        root = ds.find(xs[0])
-        # After a find, the element points directly at the root.
-        assert ds._parent[xs[0]] == root
-
-    def test_roots_enumeration(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(4)]
-        ds.union(xs[0], xs[1])
-        roots = set(ds.roots())
-        assert len(roots) == 3
-        assert ds.find(xs[0]) in roots
-
-
-class TestReset:
-    def test_reset_detaches_singleton(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        ds.union(a, b)
-        ds.reset(a)
-        ds.reset(b)
-        assert not ds.same_set(a, b)
-        assert ds.find(a) == a
-        assert ds.find(b) == b
-
-    def test_reset_clears_rank(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(4)]
-        ds.union(xs[0], xs[1])
-        ds.union(xs[0], xs[2])
-        root = ds.find(xs[0])
-        for x in xs[:3]:
-            ds.reset(x)
-        assert ds.rank_of(root) == 0
+        block = ds.manager.block_of(xs[0])
+        assert block.rank == 8  # log2(256): every union was a tie
+        assert len(block.members) == 256
 
 
 class TestCounters:
-    def test_find_and_union_counters(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        before = ds.finds
-        ds.union(a, b)
-        assert ds.unions == 1
-        assert ds.finds == before + 2  # union does two finds
+    def test_find_and_union_counters(self, ds):
+        a, b = ds.make(2)
+        ba, bb = a.block, b.block
+        before = ds.manager.finds
+        ds.manager.merge(ba, bb, ds.frame)
+        assert ds.manager.unions == 1
+        # A find on each side plus the union's own two.
+        assert ds.manager.finds == before + 4
 
-    def test_same_set_counts_finds(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        before = ds.finds
+    def test_same_set_counts_finds(self, ds):
+        a, b = ds.make(2)
+        before = ds.manager.finds
         ds.same_set(a, b)
-        assert ds.finds == before + 2
-
-
-class TestEnsureGrowth:
-    def test_bulk_growth_matches_incremental(self):
-        bulk, incremental = DisjointSets(), DisjointSets()
-        bulk.ensure(999)
-        for x in range(1000):
-            incremental.ensure(x)
-        assert len(bulk) == len(incremental) == 1000
-        assert all(bulk.find(x) == incremental.find(x) for x in range(1000))
-
-    def test_iterative_deepening_growth(self):
-        # Regression: ensure() once re-walked [0, x] on every call, turning
-        # iterative deepening (grow by one, repeatedly) quadratic.  The
-        # slice-assignment version only ever touches the new suffix, so
-        # growing element-by-element must preserve unions made along the way.
-        ds = DisjointSets()
-        for x in range(0, 2000, 2):
-            ds.ensure(x + 1)
-            ds.union(x, x + 1)
-        assert ds.unions == 1000
-        for x in range(0, 2000, 2):
-            assert ds.same_set(x, x + 1)
-        roots = {ds.find(x) for x in range(2000)}
-        assert len(roots) == 1000
-
-    def test_ensure_never_shrinks(self):
-        ds = DisjointSets()
-        ds.ensure(10)
-        ds.ensure(3)
-        assert len(ds) == 11
+        assert ds.manager.finds == before + 2

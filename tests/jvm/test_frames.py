@@ -1,4 +1,10 @@
-"""Unit tests for frames, call stacks, and frame ordering."""
+"""Unit tests for frames and call stacks.
+
+Frame age (older = shallower, frame 0 oldest, undefined across threads)
+is tested where the collector uses it, in
+``tests/core/test_collector_events.py`` (``TestStore``, ``TestPutstatic``,
+``TestAreturn``).
+"""
 
 import pytest
 
@@ -48,38 +54,6 @@ class TestCallStack:
         stack = make_stack()
         with pytest.raises(IllegalStateError):
             _ = stack.current
-
-    def test_caller(self):
-        stack = make_stack()
-        f0 = stack.push(None)
-        assert stack.caller is None
-        stack.push(None)
-        assert stack.caller is f0
-
-
-class TestFrameOrdering:
-    def test_shallower_is_older_within_thread(self):
-        stack = make_stack()
-        f0 = stack.push(None)
-        f1 = stack.push(None)
-        assert f0.is_older_than(f1)
-        assert not f1.is_older_than(f0)
-        assert not f0.is_older_than(f0)
-
-    def test_static_frame_is_oldest(self):
-        static = StaticFrame()
-        stack = make_stack()
-        f0 = stack.push(None)
-        assert static.is_older_than(f0)
-        assert not f0.is_older_than(static)
-        assert not static.is_older_than(static)
-
-    def test_cross_thread_comparison_rejected(self):
-        ids = FrameIdSource()
-        a = CallStack(0, ids).push(None)
-        b = CallStack(1, ids).push(None)
-        with pytest.raises(IllegalStateError):
-            a.is_older_than(b)
 
 
 class TestFrameRoots:
